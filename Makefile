@@ -98,11 +98,14 @@ chaos-smoke:
 
 ## ci: what .github/workflows/ci.yml runs — gofmt + vet + doclint, build,
 ## race tests on the short corpora (the full-size crawl would dominate the
-## race run), a single-iteration benchmark smoke pass, the short soak
-## gate, the sharded-fleet determinism gate, the serving smoke gate, the
-## kill-point recovery gate, and the artifact regeneration
+## race run), the daemon lifecycle tests 20 times under the race detector
+## (a drain-signal race must not come back), a single-iteration benchmark
+## smoke pass, the short soak gate, the sharded-fleet determinism gate, the
+## serving smoke gate, the kill-point recovery gate, and the artifact
+## regeneration
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
+	$(GO) test -race -count=20 ./internal/daemon
 	$(MAKE) bench-smoke
 	$(MAKE) soak-smoke
 	$(MAKE) fleet-smoke

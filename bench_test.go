@@ -55,15 +55,14 @@ func runArtifact(b *testing.B, pool *runner.Runner, id string, overrides map[str
 
 // --- the scenario-fleet engine: sequential vs parallel ----------------
 
-// benchFleet regenerates the full deterministic artefact set (every
-// table and figure except the wall-clock C&C run) on a pool of the
-// given width. Comparing Fleet/seq with Fleet/par measures the
+// benchFleet regenerates the full artefact set on a pool of the given
+// width. Comparing Fleet/seq with Fleet/par measures the
 // end-to-end speedup of the concurrent scenario-fleet engine.
 func benchFleet(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		pool := runner.New(workers)
-		for _, spec := range artifact.Deterministic() {
+		for _, spec := range artifact.All() {
 			runArtifact(b, pool, spec.ID, benchSizes)
 		}
 	}

@@ -35,10 +35,10 @@
 // seeds, worker count, and the SHA-256 fingerprint of each rendered
 // artifact. -out DIR writes one file per artifact plus manifest.json
 // into DIR (slash-scoped IDs like fleet/infection-curve nest
-// directories); -manifest PATH writes the manifest alone. Because
-// deterministic artifacts are byte-identical at any -parallel N, two
-// manifests from runs at different worker counts must carry identical
-// fingerprints.
+// directories); -manifest PATH writes the manifest alone. Because every
+// artifact runs on the virtual clock and is byte-identical at any
+// -parallel N, two manifests from runs at different worker counts must
+// carry identical fingerprints for every artifact.
 //
 // -record captures the scripted kill-chain run as an append-only
 // wire-event log plus its divergence fingerprint (FILE.fp); -replay
@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer) error {
 	conditions := fs.String("conditions", "", fmt.Sprintf("link fault profile for -record/-replay (presets: %s)", strings.Join(netsim.ProfileNames(), ", ")))
 	runList := fs.String("run", "all", "comma-separated artifact ids, or 'all'")
 	format := fs.String("format", "text", fmt.Sprintf("output format: %s", strings.Join(artifact.Formats(), ", ")))
-	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS, 1 = sequential): scenario fleets run this many kill-chain jobs at once, and the fleet/* artifacts use it as the sharded netsim's shard worker count; deterministic artifacts are byte-identical at any value")
+	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS, 1 = sequential): scenario fleets run this many kill-chain jobs at once, and the fleet/* artifacts use it as the sharded netsim's shard worker count; every artifact is byte-identical at any value")
 	outDir := fs.String("out", "", "write one file per artifact plus manifest.json into this directory instead of stdout")
 	manifestPath := fs.String("manifest", "", "also write the run manifest to this path")
 
@@ -181,26 +181,22 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // printList renders the registry: one line per artifact with its
-// section, determinism, params, and title.
+// section, params, and title.
 func printList(w io.Writer) error {
-	fmt.Fprintf(w, "%-22s %-12s %-5s %-28s %s\n", "ID", "SECTION", "DET", "PARAMS", "TITLE")
+	fmt.Fprintf(w, "%-22s %-12s %-28s %s\n", "ID", "SECTION", "PARAMS", "TITLE")
 	for _, s := range artifact.All() {
 		var params []string
 		for _, p := range s.Params {
 			params = append(params, fmt.Sprintf("%s=%d", p.Name, p.Default))
 		}
-		det := "yes"
-		if !s.Deterministic {
-			det = "no"
-		}
-		if _, err := fmt.Fprintf(w, "%-22s %-12s %-5s %-28s %s\n",
-			s.ID, s.Section, det, strings.Join(params, ","), s.Title); err != nil {
+		if _, err := fmt.Fprintf(w, "%-22s %-12s %-28s %s\n",
+			s.ID, s.Section, strings.Join(params, ","), s.Title); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(w, "\n-parallel N sizes the worker pool twice over: scenario-fleet artifacts run\n")
 	fmt.Fprintf(w, "N kill-chain jobs at once, and the fleet/* artifacts drain their sharded\n")
-	fmt.Fprintf(w, "netsim on N shard workers. Deterministic artifacts (DET=yes) render\n")
-	fmt.Fprintf(w, "byte-identically at every N; see docs/SCALING.md.\n")
+	fmt.Fprintf(w, "netsim on N shard workers. Every artifact runs on the virtual clock and\n")
+	fmt.Fprintf(w, "renders byte-identically at every N; see docs/SCALING.md.\n")
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 	"masterparasite/internal/artifact"
 )
 
-// deterministicRun selects every artifact except the wall-clock cnc
-// measurement, at sizes small enough for the race-detector CI run.
-var deterministicRun = []string{
+// goldenRun selects the artifacts testdata/golden-all.txt holds, at
+// sizes small enough for the race-detector CI run.
+var goldenRun = []string{
 	"-run", "table1,table2,table3,table4,table5,fig3,fig5,flows,countermeasures",
 	"-sites", "400", "-days", "20",
 }
@@ -30,7 +30,7 @@ func TestGoldenTextOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(append([]string{"-format", "text"}, deterministicRun...), &out); err != nil {
+	if err := run(append([]string{"-format", "text"}, goldenRun...), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), want) {

@@ -35,7 +35,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"masterparasite/internal/artifact"
@@ -83,6 +85,11 @@ func run(args []string, stdout io.Writer) error {
 		return runSmoke(dir, *smokeSpec, *smokeFormat, *workers, stdout)
 	}
 
+	// Catch SIGINT/SIGTERM before opening the store and listening, so a
+	// signal that lands during start-up drains the daemon instead of
+	// killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	cfg := labd.Config{StoreDir: *storeDir, Fleets: *fleets, Workers: *workers}
 	if *chaosSeed != 0 {
 		ctrl := chaos.New(*chaosSeed)
@@ -103,8 +110,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "labd listening on http://%s (store %s, %d fleets)\n", ln.Addr(), *storeDir, *fleets)
 	fmt.Fprintln(stdout, "routes: /healthz /readyz /v1/specs /v1/runs /v1/runs/{id}{,/artifact,/events}")
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
-	return daemon.Serve(httpSrv, ln, *drain, srv.Close)
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: daemon.ReadHeaderTimeout}
+	return daemon.Serve(ctx, httpSrv, ln, *drain, srv.Close)
 }
 
 // runSmoke is the end-to-end serving gate: daemon on a loopback port,
@@ -125,7 +132,7 @@ func runSmoke(storeDir, specID, format string, workers int, stdout io.Writer) er
 		defer cancel()
 		_ = srv.Close(ctx)
 	}()
-	base, shutdown, err := srv.Serve()
+	base, shutdown, err := daemon.Loopback(srv)
 	if err != nil {
 		return err
 	}

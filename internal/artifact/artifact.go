@@ -12,11 +12,12 @@
 // A Run returns a Result whose Dataset is typed and JSON-marshalable —
 // never a bare `any` — so the same artifact renders as canonical text,
 // JSON, CSV, or Markdown through a Renderer, and every rendered byte
-// stream is fingerprinted into a run Manifest. Because deterministic
-// artifacts are byte-identical at any scenario-fleet worker count, two
-// manifests from runs at different -parallel N must carry identical
-// SHA-256 fingerprints, making the determinism guarantee checkable
-// from the manifests alone.
+// stream is fingerprinted into a run Manifest. A Run's output is a pure
+// function of its seeds and params — every artifact runs on the virtual
+// clock, none reads the wall clock — so it is byte-identical at any
+// scenario-fleet worker count, and two manifests from runs at different
+// -parallel N must carry identical SHA-256 fingerprints, making the
+// determinism guarantee checkable from the manifests alone.
 package artifact
 
 import (
@@ -64,16 +65,11 @@ type Spec struct {
 	// randomness from; recorded in the manifest. Zero means the
 	// artifact takes its seed from a "seed" param or uses none.
 	Seed int64
-	// Deterministic marks artifacts whose rendered output is a pure
-	// function of the seeds and params — everything except wall-clock
-	// measurements. Deterministic artifacts must fingerprint
-	// identically at any worker count.
-	Deterministic bool
 	// Resumable marks artifacts whose Run is safe to re-execute after
-	// a crash: it is deterministic, shares no state across attempts,
-	// and drives its fleet through runner.ResumeMap so an orchestrator
-	// can hand it a checkpoint (Env.Checkpoint) and resume an
-	// interrupted run at the last committed chunk. Non-resumable runs
+	// a crash: it shares no state across attempts, and drives its fleet
+	// through runner.ResumeMap so an orchestrator can hand it a
+	// checkpoint (Env.Checkpoint) and resume an interrupted run at the
+	// last committed chunk. Non-resumable runs
 	// interrupted by a crash are latched failed on recovery.
 	Resumable bool
 	// Run regenerates the artifact. The returned Result needs only

@@ -31,7 +31,7 @@ func itoa(v int) string {
 
 func fakeSpec(id string) Spec {
 	return Spec{
-		ID: id, Title: "Fake " + id, Section: "Test", Deterministic: true, Seed: 7,
+		ID: id, Title: "Fake " + id, Section: "Test", Seed: 7,
 		Params: []Param{{Name: "n", Usage: "count", Default: 3, Min: 1}},
 		Run: func(env Env) (*Result, error) {
 			n := env.Param("n")
@@ -204,11 +204,11 @@ func TestManifestFingerprints(t *testing.T) {
 		t.Fatal("entry fingerprint is not the SHA-256 of the rendered bytes")
 	}
 
-	nondet := spec
-	nondet.ID, nondet.Deterministic = "t-manifest-wallclock", false
-	m1.Add(nondet, res, []byte("varies"))
-	if _, listed := m1.Fingerprints()["t-manifest-wallclock"]; listed {
-		t.Fatal("non-deterministic artifact listed in the determinism fingerprints")
+	other := spec
+	other.ID = "t-manifest-other"
+	m1.Add(other, res, []byte("other bytes"))
+	if m1.Fingerprints()[other.ID] != Fingerprint([]byte("other bytes")) {
+		t.Fatal("a manifest entry is missing from the fingerprints")
 	}
 
 	path := filepath.Join(t.TempDir(), "manifest.json")

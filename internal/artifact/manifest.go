@@ -10,27 +10,26 @@ import (
 )
 
 // ManifestVersion is bumped when the manifest schema changes.
-const ManifestVersion = 1
+const ManifestVersion = 2
 
 // ManifestEntry records one rendered artifact: its identity, the
 // resolved params and base seed the run used, and the SHA-256
 // fingerprint of the rendered bytes.
 type ManifestEntry struct {
-	ID            string         `json:"id"`
-	Title         string         `json:"title"`
-	Section       string         `json:"section"`
-	Params        map[string]int `json:"params,omitempty"`
-	Seed          int64          `json:"seed,omitempty"`
-	Deterministic bool           `json:"deterministic"`
-	Bytes         int            `json:"bytes"`
-	SHA256        string         `json:"sha256"`
+	ID      string         `json:"id"`
+	Title   string         `json:"title"`
+	Section string         `json:"section"`
+	Params  map[string]int `json:"params,omitempty"`
+	Seed    int64          `json:"seed,omitempty"`
+	Bytes   int            `json:"bytes"`
+	SHA256  string         `json:"sha256"`
 }
 
-// Manifest describes one regeneration run. Deterministic artifacts
-// rendered at the same format, params, and seeds must fingerprint
-// identically regardless of Workers — so comparing two manifests from
-// runs at different worker counts verifies the byte-identical
-// guarantee without keeping the rendered bytes around.
+// Manifest describes one regeneration run. Artifacts rendered at the
+// same format, params, and seeds must fingerprint identically
+// regardless of Workers — so comparing two manifests from runs at
+// different worker counts verifies the byte-identical guarantee without
+// keeping the rendered bytes around.
 type Manifest struct {
 	Version   int             `json:"version"`
 	Format    string          `json:"format"`
@@ -47,26 +46,22 @@ func NewManifest(format string, workers int) *Manifest {
 // Add fingerprints one rendered artifact into the manifest.
 func (m *Manifest) Add(spec Spec, res *Result, rendered []byte) {
 	m.Artifacts = append(m.Artifacts, ManifestEntry{
-		ID:            spec.ID,
-		Title:         spec.Title,
-		Section:       spec.Section,
-		Params:        res.Params,
-		Seed:          spec.Seed,
-		Deterministic: spec.Deterministic,
-		Bytes:         len(rendered),
-		SHA256:        Fingerprint(rendered),
+		ID:      spec.ID,
+		Title:   spec.Title,
+		Section: spec.Section,
+		Params:  res.Params,
+		Seed:    spec.Seed,
+		Bytes:   len(rendered),
+		SHA256:  Fingerprint(rendered),
 	})
 }
 
-// Fingerprints returns the per-artifact fingerprints of the
-// deterministic artifacts — the values that must be identical across
-// runs at any worker count.
+// Fingerprints returns the per-artifact fingerprints — the values that
+// must be identical across runs at any worker count.
 func (m *Manifest) Fingerprints() map[string]string {
-	out := make(map[string]string)
+	out := make(map[string]string, len(m.Artifacts))
 	for _, e := range m.Artifacts {
-		if e.Deterministic {
-			out[e.ID] = e.SHA256
-		}
+		out[e.ID] = e.SHA256
 	}
 	return out
 }

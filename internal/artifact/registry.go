@@ -80,18 +80,6 @@ func All() []Spec {
 	return append([]Spec(nil), registry.specs...)
 }
 
-// Deterministic returns the registered specs whose rendered output is
-// a pure function of seeds and params, in registration order.
-func Deterministic() []Spec {
-	var out []Spec
-	for _, s := range All() {
-		if s.Deterministic {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // IDs returns every registered ID in registration order.
 func IDs() []string {
 	specs := All()

@@ -12,29 +12,27 @@ type ParamSummary struct {
 
 // Summary is the typed, JSON-exportable view of a Spec: everything a
 // remote caller needs to construct a valid run request — identity,
-// declared params with defaults and bounds, the base seed, and whether
-// the rendered output is deterministic — without the Run function.
+// declared params with defaults and bounds, and the base seed — without
+// the Run function.
 // Serving frontends (labd's spec-list endpoint) expose the registry
 // through Summaries instead of leaking Spec itself.
 type Summary struct {
-	ID            string         `json:"id"`
-	Title         string         `json:"title"`
-	Section       string         `json:"section"`
-	Params        []ParamSummary `json:"params,omitempty"`
-	Seed          int64          `json:"seed,omitempty"`
-	Deterministic bool           `json:"deterministic"`
-	Resumable     bool           `json:"resumable,omitempty"`
+	ID        string         `json:"id"`
+	Title     string         `json:"title"`
+	Section   string         `json:"section"`
+	Params    []ParamSummary `json:"params,omitempty"`
+	Seed      int64          `json:"seed,omitempty"`
+	Resumable bool           `json:"resumable,omitempty"`
 }
 
 // Summary returns the spec's exportable view.
 func (s Spec) Summary() Summary {
 	out := Summary{
-		ID:            s.ID,
-		Title:         s.Title,
-		Section:       s.Section,
-		Seed:          s.Seed,
-		Deterministic: s.Deterministic,
-		Resumable:     s.Resumable,
+		ID:        s.ID,
+		Title:     s.Title,
+		Section:   s.Section,
+		Seed:      s.Seed,
+		Resumable: s.Resumable,
 	}
 	for _, p := range s.Params {
 		out.Params = append(out.Params, ParamSummary{

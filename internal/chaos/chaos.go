@@ -31,10 +31,11 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"masterparasite/internal/runner"
 )
 
 // Kind classifies what an armed fault does to the operation it fires on.
@@ -117,27 +118,6 @@ func Sites() []Site {
 	return out
 }
 
-// splitmix64 is the schedule's PRNG step: tiny, seedable, and
-// statistically solid for drawing hit offsets and cut points.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-// fnv64 hashes a site name into the per-site stream identity, so a
-// site's schedule depends only on (seed, name) — never on arming order.
-func fnv64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
 // scheduleWindow bounds how far ahead Arm schedules a fault: the drawn
 // hit offset is in [1, scheduleWindow].
 const scheduleWindow = 8
@@ -198,7 +178,7 @@ func New(seed int64) *Controller {
 }
 
 // siteState seeds a site's private PRNG stream.
-func (c *Controller) siteState(site string) uint64 { return c.seed ^ fnv64(site) }
+func (c *Controller) siteState(site string) uint64 { return c.seed ^ runner.FNV64a(site) }
 
 // ArmAt schedules a fault of the given kind to fire on exactly the
 // hit-th crossing of site (1-based). Crash faults are one-shot by
@@ -219,7 +199,7 @@ func (c *Controller) ArmAt(site string, hit int, kind Kind) {
 func (c *Controller) Arm(site string, kind Kind) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	state := splitmix64(c.siteState(site))
+	_, state := runner.SplitMix64(c.siteState(site))
 	a := &arm{kind: kind, state: state, recur: kind == Fail}
 	a.hit = c.hits[site] + 1 + int(state%scheduleWindow)
 	c.arms[site] = a
@@ -257,13 +237,13 @@ func (c *Controller) Hit(site string) Verdict {
 	if a == nil || c.hits[site] != a.hit {
 		return Verdict{}
 	}
-	a.state = splitmix64(a.state)
+	_, a.state = runner.SplitMix64(a.state)
 	v := Verdict{Fired: true, Kind: a.kind, Rand: a.state}
 	c.fired[site]++
 	if a.kind == Crash {
 		c.killed.Store(true)
 	} else if a.recur {
-		a.state = splitmix64(a.state)
+		_, a.state = runner.SplitMix64(a.state)
 		a.hit = c.hits[site] + 1 + int(a.state%scheduleWindow)
 	} else {
 		delete(c.arms, site)

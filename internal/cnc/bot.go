@@ -10,9 +10,10 @@ import (
 )
 
 // Bot is the parasite-side endpoint of the covert channel, used over a
-// real HTTP connection (the loopback experiments and the cmd/master
-// tool). Inside the packet simulation the parasite package reimplements
-// the same protocol over httpsim using this package's codec.
+// real HTTP connection (the socket benchmarks, examples/covert-channel
+// and the cmd/master tool). Inside the packet simulation the parasite
+// package reimplements the same protocol over httpsim using this
+// package's codec.
 type Bot struct {
 	// BaseURL is the master's base URL, e.g. "http://127.0.0.1:8080".
 	BaseURL string

@@ -1,14 +1,13 @@
 package cnc
 
 import (
-	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
+
+	"masterparasite/internal/daemon"
 )
 
 // command is one queued downstream message.
@@ -29,12 +28,6 @@ type command struct {
 //	GET /up/{bot}/{stream}/{seq}/{chunk} → upstream data chunk
 //	GET /up/{bot}/{stream}/fin    → upstream stream complete
 type MasterServer struct {
-	// Delay is an artificial per-request service delay, used by the
-	// throughput experiments to model a network RTT: the channel is
-	// RTT-bound, which is why the paper's 100 KB/s figure requires
-	// "a client which sends requests for multiple images simultaneously".
-	Delay time.Duration
-
 	mu       sync.Mutex
 	nextID   int
 	commands map[string][]command           // bot → queued commands (ids ascending)
@@ -322,9 +315,6 @@ var respBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return 
 
 // ServeHTTP implements the covert routes over net/http.
 func (m *MasterServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if m.Delay > 0 {
-		time.Sleep(m.Delay)
-	}
 	bufp := respBufPool.Get().(*[]byte)
 	status, ctype, body := m.Route(r.URL.Path, (*bufp)[:0])
 	h := w.Header()
@@ -338,20 +328,5 @@ func (m *MasterServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Serve starts the master on a loopback listener and returns its base
 // URL and a shutdown function.
 func (m *MasterServer) Serve() (baseURL string, shutdown func() error, err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, fmt.Errorf("cnc master listen: %w", err)
-	}
-	srv := &http.Server{Handler: m}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	shutdown = func() error {
-		err := srv.Close()
-		<-done
-		return err
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
+	return daemon.Loopback(m)
 }

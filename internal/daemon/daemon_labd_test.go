@@ -1,20 +1,20 @@
-package daemon
+package daemon_test
 
 import (
 	"context"
 	"net"
 	"net/http"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"masterparasite/internal/artifact"
+	"masterparasite/internal/daemon"
 	"masterparasite/internal/labd"
 )
 
 // The drain-with-work test needs a run the fleet is actively executing
-// when SIGTERM lands, so it registers a gated spec plus a fast one.
+// when the drain starts, so it registers a gated spec plus a fast one.
 
 type drainDataset []struct {
 	Name string `json:"name"`
@@ -63,7 +63,7 @@ func init() {
 
 // TestServeDrainsInFlightLabdRun is the full-stack drain scenario: a
 // labd daemon with one fleet has a run mid-execution and a second run
-// queued behind it when SIGTERM arrives. The drain must let the
+// queued behind it when the daemon is told to stop. The drain must let the
 // in-flight run finish and persist done, leave the queued run durably
 // queued (the closed queue hands out no new work), and a restarted
 // daemon on the same store must pick the queued run back up and
@@ -104,9 +104,11 @@ func TestServeDrainsInFlightLabdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := &http.Server{Handler: lab}
+	stop, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- Serve(srv, ln, 15*time.Second, func(ctx context.Context) error {
+		done <- daemon.Serve(stop, srv, ln, 15*time.Second, func(ctx context.Context) error {
 			// The fleet is parked on the gate; open it mid-drain so the
 			// hook exercises "wait for the in-flight run, then exit".
 			go func() {
@@ -117,8 +119,7 @@ func TestServeDrainsInFlightLabdRun(t *testing.T) {
 		})
 	}()
 
-	// Confirm the daemon is serving (and Serve's signal handler is
-	// installed) before delivering SIGTERM to our own process.
+	// Confirm the daemon is serving before telling it to stop.
 	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -128,16 +129,14 @@ func TestServeDrainsInFlightLabdRun(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	cancel()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("Serve returned %v after draining with work in flight", err)
 		}
 	case <-time.After(20 * time.Second):
-		t.Fatal("Serve did not return after SIGTERM with an in-flight run")
+		t.Fatal("Serve did not return after its context ended with an in-flight run")
 	}
 
 	// The in-flight run finished and persisted; the queued one never ran.

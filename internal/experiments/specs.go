@@ -23,64 +23,64 @@ func init() {
 	for _, s := range []artifact.Spec{
 		{
 			ID: "table1", Title: "Table I: cache eviction on popular browsers",
-			Section: "Table I", Seed: 31, Deterministic: true, Run: TableI,
+			Section: "Table I", Seed: 31, Run: TableI,
 		},
 		{
 			ID: "table2", Title: "Table II: TCP injection across OS and browsers",
-			Section: "Table II", Seed: 17, Deterministic: true, Run: TableII,
+			Section: "Table II", Seed: 17, Run: TableII,
 		},
 		{
 			ID: "table3", Title: "Table III: refresh methods vs Cache-API parasites",
-			Section: "Table III", Seed: 23, Deterministic: true, Run: TableIII,
+			Section: "Table III", Seed: 23, Run: TableIII,
 		},
 		{
 			ID: "table4", Title: "Table IV: caches in the wild (taxonomy + shared-cache infection)",
-			Section: "Table IV", Deterministic: true, Run: TableIV,
+			Section: "Table IV", Run: TableIV,
 		},
 		{
 			ID: "table5", Title: "Table V: attacks against applications",
-			Section: "Table V", Seed: 47, Deterministic: true, Run: TableV,
+			Section: "Table V", Seed: 47, Run: TableV,
 		},
 		{
 			ID: "fig3", Title: "Figure 3: persistency measurement over 100 days",
-			Section: "Fig. 3", Deterministic: true, Run: Figure3,
+			Section: "Fig. 3", Run: Figure3,
 			Params: []artifact.Param{paramSites, paramDays, paramSeed},
 		},
 		{
 			ID: "fig5", Title: "Figure 5 + §V: security header survey",
-			Section: "Fig. 5 / §V", Deterministic: true, Run: Figure5,
+			Section: "Fig. 5 / §V", Run: Figure5,
 			Params: []artifact.Param{paramSites, paramSeed},
 		},
 		{
 			ID: "cnc", Title: "§VI-C: covert channel throughput",
-			Section: "§VI-C", Run: CNCThroughput, // wall-clock rates: not deterministic
+			Section: "§VI-C", Seed: cncSeed, Run: CNCThroughput,
 			Params: []artifact.Param{paramPayload},
 		},
 		{
 			ID: "flows", Title: "Figures 1/2/4: message flows",
-			Section: "Fig. 1/2/4", Seed: 77, Deterministic: true, Run: MessageFlows,
+			Section: "Fig. 1/2/4", Seed: 77, Run: MessageFlows,
 		},
 		{
 			ID: "countermeasures", Title: "§VIII: countermeasures vs the kill chain",
-			Section: "§VIII", Seed: 61, Deterministic: true, Run: Countermeasures,
+			Section: "§VIII", Seed: 61, Run: Countermeasures,
 		},
 		{
 			ID: "replay", Title: "Record/replay fingerprint stability",
-			Section: "infra", Seed: 97, Deterministic: true, Run: ReplayStability,
+			Section: "infra", Seed: 97, Run: ReplayStability,
 		},
 		{
 			ID: "conditions", Title: "Kill chain vs network conditions (fault-injection matrix)",
-			Section: "robustness", Seed: conditionsSeed, Deterministic: true, Run: Conditions,
+			Section: "robustness", Seed: conditionsSeed, Run: Conditions,
 			Params: []artifact.Param{paramAttempts, paramPayload},
 		},
 		{
 			ID: "fleet/infection-curve", Title: "Fleet: infected population vs virtual time",
-			Section: "scale", Seed: fleetSeed, Deterministic: true, Run: InfectionCurve,
+			Section: "scale", Seed: fleetSeed, Run: InfectionCurve,
 			Params: []artifact.Param{paramLANs, paramBots},
 		},
 		{
 			ID: "fleet/cnc-fanout", Title: "Fleet: C&C fan-out goodput and latency vs fleet size",
-			Section: "scale", Seed: fleetSeed, Deterministic: true, Run: CNCFanout,
+			Section: "scale", Seed: fleetSeed, Run: CNCFanout,
 			Params: []artifact.Param{paramLANs, paramBots},
 		},
 	} {

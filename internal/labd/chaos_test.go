@@ -16,6 +16,7 @@ import (
 
 	"masterparasite/internal/artifact"
 	"masterparasite/internal/chaos"
+	"masterparasite/internal/daemon"
 	"masterparasite/internal/labd"
 	"masterparasite/internal/runner"
 )
@@ -65,15 +66,15 @@ func ckptRun(env artifact.Env, n int) (*artifact.Result, error) {
 func init() {
 	artifact.MustRegister(artifact.Spec{
 		ID: "labd-t-ckpt", Title: "labd checkpointable artifact", Section: "test",
-		Deterministic: true, Resumable: true,
-		Params: []artifact.Param{{Name: "labd-rows", Usage: "row count", Default: 256, Min: 1}},
+		Resumable: true,
+		Params:    []artifact.Param{{Name: "labd-rows", Usage: "row count", Default: 256, Min: 1}},
 		Run: func(env artifact.Env) (*artifact.Result, error) {
 			return ckptRun(env, env.Param("labd-rows"))
 		},
 	})
 	artifact.MustRegister(artifact.Spec{
 		ID: "labd-t-flaky-ckpt", Title: "labd transiently-failing checkpointable artifact", Section: "test",
-		Deterministic: true, Resumable: true,
+		Resumable: true,
 		Run: func(env artifact.Env) (*artifact.Result, error) {
 			if flakyTrip.CompareAndSwap(true, false) {
 				return nil, fmt.Errorf("first attempt wobbled: %w", artifact.ErrTransient)
@@ -413,7 +414,7 @@ func TestSSEStreamAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base1, shutdown1, err := srv1.Serve()
+	base1, shutdown1, err := daemon.Loopback(srv1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +451,7 @@ func TestSSEStreamAcrossRestart(t *testing.T) {
 	// Reboot over the debris and reconnect: the replayed stream must
 	// carry the whole timeline in order, then close after the terminal.
 	srv2 := openServer(t, labd.Config{StoreDir: dir, Fleets: 1, Workers: 1, Sleep: noop})
-	base2, shutdown2, err := srv2.Serve()
+	base2, shutdown2, err := daemon.Loopback(srv2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ type Config struct {
 	// scheduler goroutines draining the queue. <= 0 selects 2.
 	Fleets int
 	// Workers is the per-run scenario pool width handed to
-	// runner.New (0 = GOMAXPROCS, 1 = sequential). Deterministic
-	// artifacts render identically at any value.
+	// runner.New (0 = GOMAXPROCS, 1 = sequential). Every artifact
+	// renders identically at any value.
 	Workers int
 	// Now is the clock used for stage timestamps; nil selects
 	// time.Now. Tests inject a fixed clock to make event bytes
@@ -293,16 +293,15 @@ func (s *Server) Enqueue(req EnqueueRequest) (*Record, error) {
 		return nil, fmt.Errorf("draining: not accepting new runs")
 	}
 	rec := &Record{
-		ID:            RunID(s.seq),
-		Spec:          spec.ID,
-		Title:         spec.Title,
-		Section:       spec.Section,
-		Params:        env.Params(),
-		Seed:          spec.Seed,
-		Deterministic: spec.Deterministic,
-		Format:        format,
-		Status:        StatusQueued,
-		Stages:        []Stage{{Stage: StatusQueued, At: s.cfg.Now().UTC()}},
+		ID:      RunID(s.seq),
+		Spec:    spec.ID,
+		Title:   spec.Title,
+		Section: spec.Section,
+		Params:  env.Params(),
+		Seed:    spec.Seed,
+		Format:  format,
+		Status:  StatusQueued,
+		Stages:  []Stage{{Stage: StatusQueued, At: s.cfg.Now().UTC()}},
 	}
 	s.seq++
 	s.recs[rec.ID] = rec

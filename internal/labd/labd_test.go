@@ -63,7 +63,7 @@ func blockGate() chan struct{} {
 func init() {
 	artifact.MustRegister(artifact.Spec{
 		ID: "labd-t-ok", Title: "labd test artifact", Section: "test",
-		Seed: 11, Deterministic: true,
+		Seed: 11,
 		Params: []artifact.Param{
 			{Name: "labd-n", Usage: "row count", Default: 3, Min: 1},
 			{Name: "labd-seed", Usage: "value seed", Default: 1, Min: 1},

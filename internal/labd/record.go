@@ -54,9 +54,8 @@ type Record struct {
 	Params  map[string]int `json:"params,omitempty"`
 	// Seed is the spec's base seed, recorded exactly as a manifest
 	// entry records it (a "seed" request field feeds the seed param).
-	Seed          int64  `json:"seed,omitempty"`
-	Deterministic bool   `json:"deterministic"`
-	Format        string `json:"format"`
+	Seed   int64  `json:"seed,omitempty"`
+	Format string `json:"format"`
 
 	Status Status  `json:"status"`
 	Stages []Stage `json:"stages"`

@@ -1,12 +1,9 @@
 package labd
 
 import (
-	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	"masterparasite/internal/httpsim"
 )
@@ -139,31 +136,4 @@ func (s *Server) serveEventStream(w http.ResponseWriter, r *http.Request, id str
 			return
 		}
 	}
-}
-
-// Serve starts the daemon on a loopback listener and returns its base
-// URL and a shutdown function — the programmatic twin of cmd/labd,
-// used by tests and the smoke gate.
-func (s *Server) Serve() (baseURL string, shutdown func() error, err error) {
-	return serveListener(s)
-}
-
-// serveListener is split out so transport tests can reuse it.
-func serveListener(h http.Handler) (string, func() error, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, fmt.Errorf("labd listen: %w", err)
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	shutdown := func() error {
-		err := srv.Close()
-		<-done
-		return err
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
 }

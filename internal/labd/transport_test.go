@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"masterparasite/internal/artifact"
+	"masterparasite/internal/daemon"
 	_ "masterparasite/internal/experiments" // registers the paper's artifacts (flows)
 	"masterparasite/internal/httpsim"
 	"masterparasite/internal/labd"
@@ -75,7 +76,7 @@ func simTransport(t *testing.T, srv *labd.Server) doFunc {
 // each request through net/http.
 func httpTransport(t *testing.T, srv *labd.Server) doFunc {
 	t.Helper()
-	base, shutdown, err := srv.Serve()
+	base, shutdown, err := daemon.Loopback(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestFleetArtifactThroughDaemon(t *testing.T) {
 func TestLiveSSEMatchesSnapshot(t *testing.T) {
 	t.Parallel()
 	srv := openServer(t, labd.Config{Fleets: 1, Workers: 1})
-	base, shutdown, err := srv.Serve()
+	base, shutdown, err := daemon.Loopback(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestLiveSSEMatchesSnapshot(t *testing.T) {
 func TestConcurrentClientsOverRealHTTP(t *testing.T) {
 	t.Parallel()
 	srv := openServer(t, labd.Config{Fleets: 2, Workers: 1, Now: time.Now})
-	base, shutdown, err := srv.Serve()
+	base, shutdown, err := daemon.Loopback(srv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"masterparasite/internal/runner"
 )
 
 // LinkProfile is the fault model of one segment: the knobs a real link
@@ -100,12 +102,9 @@ func ProfileByName(name string) (LinkProfile, error) {
 // determined by its seed, which is all the fault model needs.
 type linkRNG struct{ state uint64 }
 
-func (r *linkRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+func (r *linkRNG) next() (z uint64) {
+	r.state, z = runner.SplitMix64(r.state)
+	return z
 }
 
 // chance consumes one draw and reports true with probability p.
@@ -118,17 +117,6 @@ func (r *linkRNG) durationBelow(max time.Duration) time.Duration {
 	return time.Duration(r.next() % uint64(max))
 }
 
-// fnv64 hashes a segment name (FNV-1a) into the PRNG seed mix, so two
-// segments sharing one profile still draw independent fault streams.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // SetLinkProfile installs (or, with a Clean profile, removes) the
 // segment's fault model and resets its fault PRNG, bandwidth queue, and
 // counters. The PRNG state depends only on (profile seed, segment
@@ -136,7 +124,7 @@ func fnv64(s string) uint64 {
 func (s *Segment) SetLinkProfile(p LinkProfile) {
 	s.profile = p
 	s.faulty = !p.Clean()
-	s.rng = linkRNG{state: p.Seed ^ fnv64(s.name)}
+	s.rng = linkRNG{state: p.Seed ^ runner.FNV64a(s.name)}
 	s.busyUntil = 0
 	s.lost, s.duplicated = 0, 0
 }

@@ -234,3 +234,28 @@ func Seed(base int64, id string) int64 {
 	}
 	return s
 }
+
+// SplitMix64 is one step of the splitmix64 generator: it advances
+// state by the golden gamma and returns the new state and its mixed
+// output. It is the repo's one small seedable PRNG — netsim's link
+// faults and chaos's fault schedules both draw from it — and must
+// stay inlinable, because lossy links call it once per delivery.
+func SplitMix64(state uint64) (next, out uint64) {
+	next = state + 0x9e3779b97f4a7c15
+	z := next
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return next, z ^ (z >> 31)
+}
+
+// FNV64a is the 64-bit FNV-1a hash of s, allocation-free. It mixes a
+// name into a seed, so two streams sharing one seed still draw
+// independently.
+func FNV64a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"sync"
@@ -138,6 +139,27 @@ func TestSeedStableAndDistinct(t *testing.T) {
 				t.Fatalf("seed collision: %s and %s", prev, key)
 			}
 			seen[s] = key
+		}
+	}
+}
+
+// TestSplitMix64AndFNV64aReferenceValues pins the shared PRNG and hash
+// to their reference outputs: splitmix64's published first draws from
+// state 0, and FNV-1a as hash/fnv computes it.
+func TestSplitMix64AndFNV64aReferenceValues(t *testing.T) {
+	state := uint64(0)
+	for _, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		var got uint64
+		state, got = SplitMix64(state)
+		if got != want {
+			t.Fatalf("splitmix64 draw = %#x, want %#x", got, want)
+		}
+	}
+	for _, s := range []string{"", "uplink", "store.rename"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := FNV64a(s), h.Sum64(); got != want {
+			t.Fatalf("FNV64a(%q) = %#x, want %#x", s, got, want)
 		}
 	}
 }
