@@ -17,6 +17,7 @@ import (
 	"masterparasite/internal/attacker"
 	"masterparasite/internal/cnc"
 	"masterparasite/internal/core"
+	"masterparasite/internal/crawler"
 	"masterparasite/internal/dom"
 	_ "masterparasite/internal/experiments" // self-registers the paper's artifacts
 	"masterparasite/internal/httpcache"
@@ -367,14 +368,29 @@ func BenchmarkDOM_ParseHTML(b *testing.B) {
 	}
 }
 
+// BenchmarkCrawl_OneSiteDay times one step of the daily crawl: render a
+// site's page for a day into the scanner's reused buffer, read its
+// script tags off the tokenizer, and compare them with the site's day-0
+// baseline. Iterations sweep every site of a day before the next day,
+// as a crawl tile does.
 func BenchmarkCrawl_OneSiteDay(b *testing.B) {
 	corpus := webcorpus.Generate(webcorpus.Params{Sites: 100, Seed: 5})
+	base := crawler.CrawlBaseline(runner.New(1), corpus)
+	var s crawler.Scanner
+	persistent := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := corpus.Sites[i%len(corpus.Sites)]
-		if resp := s.RenderPage(i % 100); resp == nil {
-			b.Fatal("nil page")
+		site := i % len(corpus.Sites)
+		if !s.Crawl(corpus.Sites[site], 1+(i/len(corpus.Sites))%100) {
+			continue
 		}
+		if _, name, _ := s.Persists(base, site); name {
+			persistent++
+		}
+	}
+	if b.N >= len(corpus.Sites) && persistent == 0 {
+		b.Fatal("no site kept a script name")
 	}
 }
 

@@ -6,7 +6,11 @@
 //
 // The crawler consumes rendered pages — it parses HTML and response
 // headers exactly as a crawler over the live web would — with the
-// synthetic corpus standing in for the Alexa population.
+// synthetic corpus standing in for the Alexa population. It tokenizes
+// each page rather than building a DOM: the study reads only the src
+// and data-hash of a page's script tags, so a Scanner renders every
+// page into one reused buffer, reads the tags off dom.Tokenizer, and
+// checks them against the day-0 baseline in place.
 //
 // Crawling is embarrassingly parallel: pages render purely from the
 // corpus's deterministic generators, so the daily crawl tiles into
@@ -21,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"masterparasite/internal/browser"
 	"masterparasite/internal/dom"
@@ -74,59 +79,110 @@ func (r *PersistencyResult) Table() (header []string, rows [][]string) {
 	return header, rows
 }
 
-// scriptObs is what the crawler extracts from one page: same-site script
-// names mapped to their content hashes. The map is nil for pages that
-// carry no qualifying script — the common case on a crawl — so the
-// JS-free fast path allocates nothing beyond the parse itself.
-type scriptObs struct {
-	scripts map[string]string // name → hash
+// script is one same-site script a page lists: its host-qualified name
+// (the cache key) and the content hash the page declares for it.
+type script struct{ name, hash string }
+
+// Scanner is one crawl job's page reader. It renders each page into a
+// buffer it reuses and reads the page's script tags straight off the
+// dom tokenizer, so a crawl builds no element tree and, once its
+// scratch has grown, allocates nothing. A Scanner is not safe for
+// concurrent use: every crawl job owns its own.
+type Scanner struct {
+	buf     []byte
+	z       dom.Tokenizer
+	scripts []script // the last page's same-site scripts, one per name
 }
 
-// crawlDay fetches and parses one site's page for a day. Only same-site
-// scripts are counted for the persistence study; shared third-party files
-// (the analytics vector of §VI-B1) are tracked separately because they
-// would otherwise dominate the statistic.
-func crawlDay(site *webcorpus.Site, day int) (scriptObs, bool) {
-	resp := site.RenderPage(day)
-	if resp.StatusCode != 200 {
-		return scriptObs{}, false
+// Crawl fetches and classifies one site's page for a day, reporting
+// false when the site does not answer.
+func (s *Scanner) Crawl(site *webcorpus.Site, day int) bool {
+	body, ok := site.AppendPage(s.buf[:0], day)
+	if !ok {
+		return false
 	}
-	doc := dom.ParseHTML(site.Host+"/", resp.Body)
-	var obs scriptObs
-	hostPrefix := site.Host + "/"
-	doc.Root.Walk(func(el *dom.Element) {
-		if el.Tag != "script" {
-			return
+	s.buf = body
+	// The page is read in place, so the scripts' strings alias buf and
+	// are valid only until the next Crawl: a caller keeping one copies
+	// it.
+	s.classify(site.Host, unsafe.String(unsafe.SliceData(body), len(body)))
+	return true
+}
+
+// classify collects a page's same-site scripts. Only same-site scripts
+// are counted for the persistence study; shared third-party files (the
+// analytics vector of §VI-B1) are tracked separately because they would
+// otherwise dominate the statistic. A name listed twice keeps its first
+// position and its last hash, as a name→hash map filled in document
+// order would.
+func (s *Scanner) classify(host, page string) {
+	s.scripts = s.scripts[:0]
+	s.z.Reset(page)
+next:
+	for s.z.Next() {
+		if s.z.Kind != dom.StartTagToken || s.z.Name != "script" {
+			continue
 		}
-		src := strings.TrimPrefix(el.Attr("src"), "//")
-		if src == "" {
-			return
-		}
+		src := strings.TrimPrefix(s.z.Attrs.Get("src"), "//")
 		path := src
 		if q := strings.IndexByte(path, '?'); q >= 0 {
 			path = path[:q]
 		}
 		if !strings.HasSuffix(path, ".js") {
-			return
+			continue
 		}
-		if !strings.HasPrefix(src, hostPrefix) {
-			return // third-party
+		if len(src) <= len(host) || src[len(host)] != '/' || src[:len(host)] != host {
+			continue // third-party
 		}
-		if obs.scripts == nil {
-			obs.scripts = make(map[string]string, 8)
+		hash := s.z.Attrs.Get("data-hash")
+		for i := range s.scripts {
+			if s.scripts[i].name == src {
+				s.scripts[i].hash = hash
+				continue next
+			}
 		}
-		obs.scripts[src] = el.Attr("data-hash")
-	})
-	return obs, true
+		s.scripts = append(s.scripts, script{name: src, hash: hash})
+	}
 }
 
-// Baseline is the memoized day-0 crawl of a corpus: one observation per
-// site, in site order. CrawlPersistencyFrom and SelectTargetsFrom both
-// compare later days against it, so a caller holding both can crawl
-// day 0 once instead of once per consumer.
+// scriptMap returns the last page's scripts as a name → hash map that
+// owns its strings, or nil when the page lists none.
+func (s *Scanner) scriptMap() map[string]string {
+	if len(s.scripts) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(s.scripts))
+	for _, sc := range s.scripts {
+		m[strings.Clone(sc.name)] = strings.Clone(sc.hash)
+	}
+	return m
+}
+
+// Persists compares the last crawled page with site i's day-0 scripts
+// in b: anyJS reports that the page lists a same-site script, name that
+// some baseline script is still listed under its name, and hash that
+// some is still listed with its day-0 hash.
+func (s *Scanner) Persists(b *Baseline, i int) (anyJS, name, hash bool) {
+	base := b.scripts[i]
+	for _, sc := range s.scripts {
+		if h, ok := base[sc.name]; ok {
+			name = true
+			if h == sc.hash {
+				return true, true, true
+			}
+		}
+	}
+	return len(s.scripts) > 0, name, false
+}
+
+// Baseline is the memoized day-0 crawl of a corpus: per site, in site
+// order, whether it answered and its same-site scripts' name → hash
+// map. CrawlPersistencyFrom and SelectTargetsFrom both compare later
+// days against it, so a caller holding both can crawl day 0 once
+// instead of once per consumer.
 type Baseline struct {
 	corpus  *webcorpus.Corpus
-	obs     []scriptObs
+	scripts []map[string]string // nil for sites serving no qualifying script
 	ok      []bool
 	crawled int
 }
@@ -134,25 +190,27 @@ type Baseline struct {
 // Crawled reports how many sites answered the baseline crawl.
 func (b *Baseline) Crawled() int { return b.crawled }
 
-// CrawlBaseline crawls every site once on day 0, one job per site.
+// CrawlBaseline crawls every site once on day 0, one job per site chunk.
 func CrawlBaseline(r *runner.Runner, c *webcorpus.Corpus) *Baseline {
-	type obsOK struct {
-		obs scriptObs
-		ok  bool
-	}
-	crawls, _ := runner.Map(r, c.Sites, func(_ int, s *webcorpus.Site) (obsOK, error) {
-		o, ok := crawlDay(s, 0)
-		return obsOK{obs: o, ok: ok}, nil
-	})
 	b := &Baseline{
-		corpus: c,
-		obs:    make([]scriptObs, len(crawls)),
-		ok:     make([]bool, len(crawls)),
+		corpus:  c,
+		scripts: make([]map[string]string, len(c.Sites)),
+		ok:      make([]bool, len(c.Sites)),
 	}
-	for i, cr := range crawls {
-		b.obs[i] = cr.obs
-		b.ok[i] = cr.ok
-		if cr.ok {
+	// Each job writes only its own chunk's entries.
+	_, _ = runner.Map(r, runner.Chunks(len(c.Sites), r.Workers()), func(_ int, ch [2]int) (struct{}, error) {
+		var scan Scanner
+		for i := ch[0]; i < ch[1]; i++ {
+			if !scan.Crawl(c.Sites[i], 0) {
+				continue
+			}
+			b.ok[i] = true
+			b.scripts[i] = scan.scriptMap()
+		}
+		return struct{}{}, nil
+	})
+	for _, ok := range b.ok {
+		if ok {
 			b.crawled++
 		}
 	}
@@ -203,8 +261,8 @@ func CrawlPersistencyFrom(r *runner.Runner, base *Baseline, days int) *Persisten
 	// against itself, so all three curves start at the share of crawled
 	// sites serving at least one script.
 	withJS := 0
-	for i := range base.obs {
-		if base.ok[i] && len(base.obs[i].scripts) > 0 {
+	for _, m := range base.scripts {
+		if len(m) > 0 {
 			withJS++
 		}
 	}
@@ -222,27 +280,14 @@ func CrawlPersistencyFrom(r *runner.Runner, base *Baseline, days int) *Persisten
 	}
 	counts, _ := runner.Map(r, tiles, func(_ int, t dayTile) (tileCounts, error) {
 		var tc tileCounts
+		var scan Scanner
 		for i := t.lo; i < t.hi; i++ {
-			if !base.ok[i] {
+			if !base.ok[i] || !scan.Crawl(c.Sites[i], t.day) {
 				continue
 			}
-			obs, ok := crawlDay(c.Sites[i], t.day)
-			if !ok {
-				continue
-			}
-			if len(obs.scripts) > 0 {
+			anyJS, name, hash := scan.Persists(base, i)
+			if anyJS {
 				tc.anyJS++
-			}
-			name := false
-			hash := false
-			for n, baseHash := range base.obs[i].scripts {
-				if dayHash, live := obs.scripts[n]; live {
-					name = true
-					if dayHash == baseHash {
-						hash = true
-						break
-					}
-				}
 			}
 			if name {
 				tc.persName++
@@ -282,28 +327,28 @@ func SelectTargets(c *webcorpus.Corpus, window int) map[string][]string {
 
 // SelectTargetsFrom selects name-stable scripts against an existing
 // day-0 baseline, crawling each site only once (on the window's last
-// day) instead of re-crawling day 0. One job per site; the fold keeps
-// site order, so the result is identical at any worker count.
+// day) instead of re-crawling day 0. One job per site chunk; each site's
+// selection is sorted, so the result is identical at any worker count.
 func SelectTargetsFrom(r *runner.Runner, base *Baseline, window int) map[string][]string {
 	c := base.corpus
-	stable, _ := runner.Map(r, c.Sites, func(i int, s *webcorpus.Site) ([]string, error) {
-		if !base.ok[i] || len(base.obs[i].scripts) == 0 {
-			return nil, nil
-		}
-		last, ok := crawlDay(s, window)
-		if !ok {
-			return nil, nil
-		}
-		var names []string
-		for n := range base.obs[i].scripts {
-			if _, live := last.scripts[n]; live {
-				names = append(names, n)
+	stable := make([][]string, len(c.Sites))
+	// Each job writes only its own chunk's entries.
+	_, _ = runner.Map(r, runner.Chunks(len(c.Sites), r.Workers()), func(_ int, ch [2]int) (struct{}, error) {
+		var scan Scanner
+		for i := ch[0]; i < ch[1]; i++ {
+			if len(base.scripts[i]) == 0 || !scan.Crawl(c.Sites[i], window) {
+				continue
 			}
+			var names []string
+			for _, sc := range scan.scripts {
+				if _, live := base.scripts[i][sc.name]; live {
+					names = append(names, strings.Clone(sc.name))
+				}
+			}
+			sort.Strings(names)
+			stable[i] = names
 		}
-		// The baseline map iterates in random order; sort so the
-		// selection is reproducible run to run.
-		sort.Strings(names)
-		return names, nil
+		return struct{}{}, nil
 	})
 	out := make(map[string][]string)
 	for i, names := range stable {
@@ -462,16 +507,20 @@ func SurveyHeaders(r *runner.Runner, c *webcorpus.Corpus) *HeaderSurvey {
 			}
 		}
 	}
-	n := float64(s.Sites)
-	s.NoHTTPSShare = 100 * float64(noHTTPS) / n
-	s.VulnSSLShare = 100 * float64(vulnSSL) / n
+	// An empty corpus has no denominator: its shares stay zero instead
+	// of NaN, which JSON cannot encode.
+	if s.Sites > 0 {
+		n := float64(s.Sites)
+		s.NoHTTPSShare = 100 * float64(noHTTPS) / n
+		s.VulnSSLShare = 100 * float64(vulnSSL) / n
+		s.CSPHeaderShare = 100 * float64(cspAny) / n
+		s.CSPRulesShare = 100 * float64(cspRules) / n
+	}
 	if s.Responders > 0 {
 		r := float64(s.Responders)
 		s.NoHSTSShare = 100 * float64(s.NoHSTSCount) / r
 		s.StrippableShare = 100 * float64(s.Responders-s.PreloadCount) / r
 	}
-	s.CSPHeaderShare = 100 * float64(cspAny) / n
-	s.CSPRulesShare = 100 * float64(cspRules) / n
 	if cspAny > 0 {
 		s.DeprecatedShare = 100 * float64(cspDeprecated) / float64(cspAny)
 	}
@@ -479,8 +528,12 @@ func SurveyHeaders(r *runner.Runner, c *webcorpus.Corpus) *HeaderSurvey {
 }
 
 // AnalyticsShare measures the §VI-B1 shared-file statistic: the fraction
-// of sites embedding the shared analytics script.
+// of sites embedding the shared analytics script (0 for an empty
+// corpus).
 func AnalyticsShare(c *webcorpus.Corpus) float64 {
+	if len(c.Sites) == 0 {
+		return 0
+	}
 	n := 0
 	for _, s := range c.Sites {
 		if s.UsesGoogleAnalytics {

@@ -328,3 +328,43 @@ func TestHeadAndBodyAutoCreate(t *testing.T) {
 		t.Fatal("duplicate auto-created elements")
 	}
 }
+
+// TestTokenizerTokens pins the token stream ParseHTML and the crawler
+// share: comments and doctypes vanish, start-tag names and attribute
+// keys are lower-cased (a repeated key keeps its last value), end tags
+// keep their name as written, and a script start tag carries its raw
+// text, markup included.
+func TestTokenizerTokens(t *testing.T) {
+	type token struct {
+		kind        TokenKind
+		name, text  string
+		attrs       string
+		selfClosing bool
+	}
+	var z Tokenizer
+	z.Reset(`<!DOCTYPE html><P Class=a id='x' class="b">hi<!-- <br> --></P ><br/><SCRIPT>if (a<b) f("</p>")</script>tail`)
+	var got []token
+	for z.Next() {
+		tok := token{kind: z.Kind, name: z.Name, text: z.Text, selfClosing: z.SelfClosing}
+		for _, a := range z.Attrs {
+			tok.attrs += a.Key + "=" + a.Value + ";"
+		}
+		got = append(got, tok)
+	}
+	want := []token{
+		{kind: StartTagToken, name: "p", attrs: "class=b;id=x;"},
+		{kind: TextToken, text: "hi"},
+		{kind: EndTagToken, name: "P"},
+		{kind: StartTagToken, name: "br", selfClosing: true},
+		{kind: StartTagToken, name: "script", text: `if (a<b) f("</p>")`},
+		{kind: TextToken, text: "tail"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("tokens = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("token %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -11,98 +11,197 @@ import (
 // synthetic corpus and the simulated applications — and, importantly, for
 // whatever bytes an attacker injects.
 //
-// The tokenizer is a single pass over one string conversion of the
-// input: every tag name, attribute, and text fragment is a substring of
-// that one allocation, elements come from a chunked arena, and
-// lowercasing/case-folding never allocates on the (overwhelmingly
-// common) already-lowercase path.
+// The tree is built from Tokenizer's tokens over one string conversion
+// of the input: every tag name, attribute, and text fragment is a
+// substring of that one allocation, elements and attribute lists come
+// from chunked arenas, and lowercasing/case-folding never allocates on
+// the (overwhelmingly common) already-lowercase path.
 func ParseHTML(url string, content []byte) *Document {
 	d := &Document{URL: url}
 	var arena elemArena
-	var attrs attrWriter
 	root := arena.new("html")
 	d.Root = root
 
 	stack := []*Element{root}
-	top := func() *Element { return stack[len(stack)-1] }
-
-	s := string(content)
-	i := 0
-	for i < len(s) {
-		lt := strings.IndexByte(s[i:], '<')
-		if lt < 0 {
-			top().Text += s[i:]
-			break
-		}
-		if lt > 0 {
-			top().Text += s[i : i+lt]
-			i += lt
-		}
-		gt := strings.IndexByte(s[i:], '>')
-		if gt < 0 {
-			top().Text += s[i:]
-			break
-		}
-		tag := s[i+1 : i+gt]
-		i += gt + 1
-		switch {
-		case strings.HasPrefix(tag, "!--"):
-			// Comment: skip to the closing marker if the '>' we found was
-			// not it.
-			if !strings.HasSuffix(tag, "--") {
-				if end := strings.Index(s[i:], "-->"); end >= 0 {
-					i += end + 3
-				} else {
-					i = len(s)
-				}
-			}
-		case strings.HasPrefix(tag, "!"):
-			// Doctype: ignore.
-		case strings.HasPrefix(tag, "/"):
-			name := strings.TrimSpace(tag[1:])
+	var z Tokenizer
+	z.Reset(string(content))
+	for z.Next() {
+		top := stack[len(stack)-1]
+		switch z.Kind {
+		case TextToken:
+			top.Text += z.Text
+		case EndTagToken:
 			for n := len(stack) - 1; n > 0; n-- {
 				// ASCII fold only, matching the </script> scan: Unicode
 				// fold pairs must not close an element.
-				if len(stack[n].Tag) == len(name) && foldEq(stack[n].Tag, name) {
+				if len(stack[n].Tag) == len(z.Name) && foldEq(stack[n].Tag, z.Name) {
 					stack = stack[:n]
 					break
 				}
 			}
-		default:
-			selfClose := strings.HasSuffix(tag, "/")
-			if selfClose {
-				tag = strings.TrimSuffix(tag, "/")
-			}
-			el := parseTag(&arena, &attrs, tag)
-			if el == nil {
-				continue
-			}
-			if el.Tag == "html" {
+		case StartTagToken:
+			if z.Name == "html" {
 				// Merge attributes into the existing root instead of
 				// nesting a second html element.
-				for _, a := range el.Attrs {
+				for _, a := range z.Attrs {
 					root.SetAttr(a.Key, a.Value)
 				}
 				continue
 			}
-			top().Append(el)
-			if el.Tag == "script" {
-				// Raw-text element: consume everything to </script>.
-				if end := indexFold(s[i:], "</script>"); end >= 0 {
-					el.Text = s[i : i+end]
-					i += end + len("</script>")
-				} else {
-					el.Text = s[i:]
-					i = len(s)
-				}
-				continue
-			}
-			if !selfClose && !voidTags[el.Tag] {
+			el := arena.new(z.Name)
+			el.Attrs = z.keepAttrs()
+			top.Append(el)
+			switch {
+			case el.Tag == "script":
+				el.Text = z.Text
+			case !z.SelfClosing && !voidTags[el.Tag]:
 				stack = append(stack, el)
 			}
 		}
 	}
 	return d
+}
+
+// TokenKind classifies the token Tokenizer.Next stopped at.
+type TokenKind uint8
+
+// Token kinds. Comments and doctypes produce no token.
+const (
+	TextToken TokenKind = iota + 1
+	StartTagToken
+	EndTagToken
+)
+
+// Tokenizer splits HTML into text, start-tag and end-tag tokens in
+// document order. It is the package's one HTML tokenizer: ParseHTML
+// builds its tree from these tokens, and a caller that only needs
+// tags and attributes (the crawler) reads them without building one.
+// Comments and doctypes are skipped, and a script start tag consumes
+// its raw text up to the closing </script> (ASCII case-insensitive),
+// so markup inside a script is never tokenized.
+//
+// Every string a token carries is a substring of the input, except a
+// tag name or attribute key written with upper-case letters, which is
+// lower-cased into a copy; on lower-case markup a Tokenizer allocates
+// nothing once its attribute scratch has grown. Attrs is that scratch:
+// it is valid until the next call to Next, and a caller keeping
+// attributes copies the list.
+type Tokenizer struct {
+	s       string
+	i       int
+	scratch []Attr
+
+	// Kind is the current token's kind.
+	Kind TokenKind
+	// Name is the tag name: lower-cased for a start tag, as written for
+	// an end tag (compare it with ASCII case folding).
+	Name string
+	// Attrs are a start tag's attributes in document order, keys
+	// lower-cased; a repeated key keeps its first position and its last
+	// value.
+	Attrs AttrList
+	// Text is a text token's character data, or a script start tag's
+	// raw text.
+	Text string
+	// SelfClosing reports a start tag written as <name/>.
+	SelfClosing bool
+}
+
+// Reset points the tokenizer at the start of s, keeping its scratch.
+func (z *Tokenizer) Reset(s string) {
+	z.s, z.i = s, 0
+}
+
+// Next advances to the next token and reports whether there was one.
+func (z *Tokenizer) Next() bool {
+	z.Name, z.Attrs, z.Text, z.SelfClosing = "", nil, "", false
+	s := z.s
+	for z.i < len(s) {
+		i := z.i
+		lt := strings.IndexByte(s[i:], '<')
+		if lt < 0 {
+			return z.text(len(s))
+		}
+		if lt > 0 {
+			return z.text(i + lt)
+		}
+		gt := strings.IndexByte(s[i:], '>')
+		if gt < 0 {
+			return z.text(len(s))
+		}
+		tag := s[i+1 : i+gt]
+		z.i = i + gt + 1
+		switch {
+		case strings.HasPrefix(tag, "!--"):
+			// Comment: skip to the closing marker if the '>' we found was
+			// not it.
+			if !strings.HasSuffix(tag, "--") {
+				if end := strings.Index(s[z.i:], "-->"); end >= 0 {
+					z.i += end + 3
+				} else {
+					z.i = len(s)
+				}
+			}
+		case strings.HasPrefix(tag, "!"):
+			// Doctype: ignore.
+		case strings.HasPrefix(tag, "/"):
+			z.Kind, z.Name = EndTagToken, strings.TrimSpace(tag[1:])
+			return true
+		default:
+			if z.startTag(tag) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// text emits the input up to end as a text token.
+func (z *Tokenizer) text(end int) bool {
+	z.Kind, z.Text = TextToken, z.s[z.i:end]
+	z.i = end
+	return true
+}
+
+// startTag parses "name attr=val attr2='v'" (the text between < and >)
+// into the current token; an empty tag yields none.
+func (z *Tokenizer) startTag(raw string) bool {
+	trimmed := strings.TrimSuffix(raw, "/")
+	selfClosing := len(trimmed) < len(raw)
+	raw = strings.TrimSpace(trimmed)
+	if raw == "" {
+		return false
+	}
+	name, rest := raw, ""
+	for j := 0; j < len(raw); j++ {
+		if c := raw[j]; c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+			name, rest = raw[:j], raw[j:]
+			break
+		}
+	}
+	z.Kind, z.Name, z.SelfClosing = StartTagToken, lowerASCII(name), selfClosing
+	if rest != "" {
+		if cap(z.scratch) < attrReserve {
+			z.scratch = make([]Attr, 0, attrChunk)
+		}
+		z.scratch = z.scratch[:0]
+		z.parseAttrs(rest)
+		if len(z.scratch) > 0 {
+			z.Attrs = z.scratch
+		}
+	}
+	if z.Name == "script" {
+		// Raw-text element: consume everything to </script>.
+		s := z.s[z.i:]
+		if end := indexFold(s, "</script>"); end >= 0 {
+			z.Text = s[:end]
+			z.i += end + len("</script>")
+		} else {
+			z.Text = s
+			z.i = len(z.s)
+		}
+	}
+	return true
 }
 
 // arenaChunk is how many elements one arena allocation holds; a typical
@@ -170,83 +269,31 @@ func foldEq(a, b string) bool {
 	return true
 }
 
-// attrChunk is how many attributes one arena allocation holds, and
-// attrReserve the headroom begin guarantees a single element — elements
-// with at most attrReserve attributes never migrate chunks.
+// attrChunk is how many attributes one scratch allocation holds, and
+// attrReserve the room a start tag starts with: a tag with at most
+// attrReserve attributes never moves its list to a new chunk.
 const (
 	attrChunk   = 64
 	attrReserve = 8
 )
 
-// attrWriter carves per-element AttrLists out of chunked backing
-// arrays. Handed-out lists are full-capacity subslices, so a later
-// SetAttr on the element reallocates instead of clobbering a
-// neighbouring element's attributes.
-type attrWriter struct {
-	buf   []Attr
-	start int // where the current element's attributes begin
-}
-
-// begin opens a new element, rolling to a fresh chunk when the current
-// one cannot fit a typical element.
-func (w *attrWriter) begin() {
-	if cap(w.buf)-len(w.buf) < attrReserve {
-		w.buf = make([]Attr, 0, attrChunk)
-	}
-	w.start = len(w.buf)
-}
-
-// add appends one attribute for the current element, updating in place
-// on a duplicate key. An element overflowing its chunk migrates to a
-// fresh one so its list stays contiguous.
-func (w *attrWriter) add(key, value string) {
-	for i := w.start; i < len(w.buf); i++ {
-		if w.buf[i].Key == key {
-			w.buf[i].Value = value
-			return
-		}
-	}
-	if len(w.buf) == cap(w.buf) {
-		nbuf := make([]Attr, len(w.buf)-w.start, cap(w.buf)*2)
-		copy(nbuf, w.buf[w.start:])
-		w.buf = nbuf
-		w.start = 0
-	}
-	w.buf = append(w.buf, Attr{Key: key, Value: value})
-}
-
-// finish closes the current element and returns its (possibly empty)
-// attribute list.
-func (w *attrWriter) finish() AttrList {
-	if len(w.buf) == w.start {
+// keepAttrs hands the current start tag's attributes to the caller for
+// good, so ParseHTML gives elements attribute lists carved from the
+// scratch chunks without copying them: the scratch moves past the list,
+// so later tags never overwrite it, and the list's capacity ends at its
+// length, so a later SetAttr on the element reallocates instead of
+// clobbering the next list.
+func (z *Tokenizer) keepAttrs() AttrList {
+	n := len(z.Attrs)
+	if n == 0 {
 		return nil
 	}
-	return w.buf[w.start:len(w.buf):len(w.buf)]
+	z.scratch = z.scratch[n:]
+	return z.Attrs[:n:n]
 }
 
-// parseTag parses "name attr=val attr2='v'" into an element.
-func parseTag(arena *elemArena, attrs *attrWriter, raw string) *Element {
-	raw = strings.TrimSpace(raw)
-	if raw == "" {
-		return nil
-	}
-	nameEnd := strings.IndexAny(raw, " \t\n\r")
-	name := raw
-	rest := ""
-	if nameEnd >= 0 {
-		name = raw[:nameEnd]
-		rest = raw[nameEnd:]
-	}
-	el := arena.new(lowerASCII(name))
-	if rest != "" {
-		attrs.begin()
-		parseAttrs(attrs, rest)
-		el.Attrs = attrs.finish()
-	}
-	return el
-}
-
-func parseAttrs(w *attrWriter, s string) {
+// parseAttrs parses a start tag's attribute text into the scratch list.
+func (z *Tokenizer) parseAttrs(s string) {
 	i := 0
 	for i < len(s) {
 		// Skip whitespace.
@@ -273,11 +320,12 @@ func parseAttrs(w *attrWriter, s string) {
 			if i < len(s) && (s[i] == '"' || s[i] == '\'') {
 				quote := s[i]
 				i++
-				vstart := i
-				for i < len(s) && s[i] != quote {
-					i++
+				end := strings.IndexByte(s[i:], quote)
+				if end < 0 {
+					end = len(s) - i
 				}
-				value = s[vstart:i]
+				value = s[i : i+end]
+				i += end
 				if i < len(s) {
 					i++
 				}
@@ -289,6 +337,18 @@ func parseAttrs(w *attrWriter, s string) {
 				value = s[vstart:i]
 			}
 		}
-		w.add(lowerASCII(name), value)
+		z.addAttr(lowerASCII(name), value)
 	}
+}
+
+// addAttr appends one attribute to the scratch list, updating in place
+// on a repeated key.
+func (z *Tokenizer) addAttr(key, value string) {
+	for i := range z.scratch {
+		if z.scratch[i].Key == key {
+			z.scratch[i].Value = value
+			return
+		}
+	}
+	z.scratch = append(z.scratch, Attr{Key: key, Value: value})
 }

@@ -416,7 +416,7 @@ func (s *Site) SecurityHeaders() httpsim.Header {
 	return h
 }
 
-// statePool recycles the object-state scratch RenderPage assembles a
+// statePool recycles the object-state scratch AppendPage assembles a
 // page from; the states never escape the call.
 var statePool = sync.Pool{New: func() any { return new([]ObjectState) }}
 
@@ -439,11 +439,29 @@ const (
 
 // RenderPage produces the site's front page for a day: an HTML response
 // listing that day's objects, with the site's security headers — what the
-// paper's daily crawler fetched and hashed. The rendered bytes are
-// identical to the historical strings.Builder+Fprintf rendering.
+// paper's daily crawler fetched and hashed. The body is AppendPage's,
+// in one exact-size allocation.
 func (s *Site) RenderPage(day int) *httpsim.Response {
-	if !s.Responds {
+	body, ok := s.AppendPage(nil, day)
+	if !ok {
 		return httpsim.NewResponse(404, nil)
+	}
+	resp := httpsim.NewResponse(200, body)
+	resp.Header = s.SecurityHeaders()
+	resp.Header.Set("Content-Type", "text/html")
+	resp.Header.Set("Cache-Control", "max-age=600")
+	return resp
+}
+
+// AppendPage appends the HTML body of the site's front page for a day to
+// dst and returns the extended slice; ok is false, and dst is returned
+// unchanged, when the site does not answer. dst grows at most once, to
+// exactly the page's size, so a caller that reuses dst across pages
+// renders without allocating. The bytes are identical to the historical
+// strings.Builder+Fprintf rendering.
+func (s *Site) AppendPage(dst []byte, day int) (body []byte, ok bool) {
+	if !s.Responds {
+		return dst, false
 	}
 	scratch := statePool.Get().(*[]ObjectState)
 	states := s.appendObjectsOn((*scratch)[:0], day)
@@ -459,8 +477,10 @@ func (s *Site) RenderPage(day int) *httpsim.Response {
 			n += len(imgOpen) + len(o.Name) + len(imgClose)
 		}
 	}
-	body := make([]byte, 0, n)
-	body = append(body, pagePrefix...)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	body = append(dst, pagePrefix...)
 	for i := range states {
 		switch o := &states[i]; o.Kind {
 		case KindJS:
@@ -484,10 +504,5 @@ func (s *Site) RenderPage(day int) *httpsim.Response {
 	body = append(body, pageSuffix...)
 	*scratch = states
 	statePool.Put(scratch)
-
-	resp := httpsim.NewResponse(200, body)
-	resp.Header = s.SecurityHeaders()
-	resp.Header.Set("Content-Type", "text/html")
-	resp.Header.Set("Cache-Control", "max-age=600")
-	return resp
+	return body, true
 }

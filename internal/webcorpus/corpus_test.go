@@ -239,11 +239,17 @@ func TestRenderPageAllocs(t *testing.T) {
 
 // TestRenderPageMatchesHistoricalRendering pins byte-identity of the
 // exact-size renderer against the original strings.Builder+Fprintf
-// formatting, which the golden artifacts were recorded under.
+// formatting, which the golden artifacts were recorded under — both
+// RenderPage's fresh body and AppendPage into a reused buffer that
+// already holds bytes.
 func TestRenderPageMatchesHistoricalRendering(t *testing.T) {
 	c := Generate(Params{Sites: 40, Seed: 17})
+	reused := []byte("prefix")
 	for _, s := range c.Sites {
 		if !s.Responds {
+			if got, ok := s.AppendPage(reused[:len("prefix")], 0); ok || string(got) != "prefix" {
+				t.Fatalf("site %s: non-responder appended a page", s.Host)
+			}
 			continue
 		}
 		for _, day := range []int{0, 3, 37} {
@@ -264,6 +270,10 @@ func TestRenderPageMatchesHistoricalRendering(t *testing.T) {
 			b.WriteString("</body></html>")
 			if got := string(s.RenderPage(day).Body); got != b.String() {
 				t.Fatalf("site %s day %d: rendered bytes diverge from historical formatting", s.Host, day)
+			}
+			reused, _ = s.AppendPage(reused[:len("prefix")], day)
+			if got := string(reused); got != "prefix"+b.String() {
+				t.Fatalf("site %s day %d: appended bytes diverge from historical formatting", s.Host, day)
 			}
 		}
 	}
