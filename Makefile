@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check doclint test test-short race bench bench-json bench-smoke soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
+.PHONY: build vet fmt-check doclint test test-short race bench bench-json bench-smoke perfbench-smoke soak-smoke fleet-smoke artifacts labd labd-smoke chaos-smoke ci
 
 ## build: compile every package and command
 build:
@@ -52,6 +52,14 @@ bench-json:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
+## perfbench-smoke: the end-to-end benchmark is its own module, outside
+## ./..., so vet and build it here and run the kill-chain workload for
+## ~2 s; perfbench exits 1 if any artifact it regenerates misses its
+## golden fingerprint
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./...
+	bash perfbench/run.sh --workload kill-chain --seed 1 --seconds 2 --trace 0
+
 ## soak-smoke: the short soak gate — a few thousand retransmitting
 ## echo rounds over a lossy, duplicating link, with the frame-pool
 ## acquire/release counters required to balance (the full ≥10⁶-event
@@ -100,13 +108,14 @@ chaos-smoke:
 ## race tests on the short corpora (the full-size crawl would dominate the
 ## race run), the daemon lifecycle tests 20 times under the race detector
 ## (a drain-signal race must not come back), a single-iteration benchmark
-## smoke pass, the short soak gate, the sharded-fleet determinism gate, the
-## serving smoke gate, the kill-point recovery gate, and the artifact
-## regeneration
+## smoke pass, the perfbench module's vet and kill-chain smoke run, the
+## short soak gate, the sharded-fleet determinism gate, the serving smoke
+## gate, the kill-point recovery gate, and the artifact regeneration
 ci: fmt-check vet doclint build
 	$(GO) test -short -race ./...
 	$(GO) test -race -count=20 ./internal/daemon
 	$(MAKE) bench-smoke
+	$(MAKE) perfbench-smoke
 	$(MAKE) soak-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) labd-smoke

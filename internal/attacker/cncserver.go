@@ -13,10 +13,14 @@ import (
 // skipping the net/http request and response-recorder scaffolding the
 // simulation used to pay for on every covert image; the header policy is
 // shared with ServeHTTP through cnc.SetResponseHeaders, so the two
-// transports stay byte-identical on the wire.
+// transports stay byte-identical on the wire. Bodies are rendered into
+// one buffer reused across requests: a response is marshalled as soon
+// as the handler returns, before the next request can overwrite it.
 func CNCAdapter(m *cnc.MasterServer) httpsim.HandlerFunc {
+	var buf []byte
 	return func(req *httpsim.Request) *httpsim.Response {
-		status, ctype, body := m.Route(req.Path, nil)
+		status, ctype, body := m.Route(req.Path, buf[:0])
+		buf = body
 		out := httpsim.NewResponse(status, body)
 		cnc.SetResponseHeaders(status, ctype, out.Header.Set)
 		return out

@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -273,12 +274,38 @@ func TestParseHTMLAllocs(t *testing.T) {
 			t.Fatal("nil document")
 		}
 	})
-	// Measured ~31 on go1.24 — input copy, document, element/attr arena
-	// chunks, tree appends, and one concat per interleaved text fragment
-	// (this page is whitespace-heavy; a dense corpus page parses in ~14).
-	// The historical one-map-per-element parser took twice that.
-	if got > 35 {
-		t.Errorf("ParseHTML allocs/op = %.0f, want <= 35", got)
+	// Measured 22 on go1.24 — input copy, document, element/attr arena
+	// chunks, tree appends, and one join per element whose text is split
+	// by child tags (this page is whitespace-heavy; a dense corpus page
+	// parses in ~14). A concatenation per fragment took 31, and the
+	// historical one-map-per-element parser twice that.
+	if got > 25 {
+		t.Errorf("ParseHTML allocs/op = %.0f, want <= 25", got)
+	}
+}
+
+// TestParseHTMLSplitTextLinear parses one element whose text is split
+// by 40,000 child tags. Its text must be the fragments in order, and
+// the bytes allocated must grow with the input, not with its square:
+// appending the text fragment by fragment allocated 4,300 times the
+// input here. The bound leaves room for the tree itself, ~100 bytes
+// per element against this page's 5 input bytes per element.
+func TestParseHTMLSplitTextLinear(t *testing.T) {
+	const n = 40000
+	page := []byte("<p>" + strings.Repeat("a<br>", n))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := ParseHTML("split.example/", page)
+	runtime.ReadMemStats(&after)
+	p := d.Root.Children[0]
+	if p.Tag != "p" || len(p.Children) != n {
+		t.Fatalf("got <%s> with %d children, want <p> with %d", p.Tag, len(p.Children), n)
+	}
+	if p.Text != strings.Repeat("a", n) {
+		t.Fatalf("text is %d bytes, want the %d fragments concatenated", len(p.Text), n)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(page)); got > limit {
+		t.Errorf("parse allocated %d bytes for a %d-byte page, want <= %d", got, len(page), limit)
 	}
 }
 

@@ -22,20 +22,27 @@ func ParseHTML(url string, content []byte) *Document {
 	root := arena.new("html")
 	d.Root = root
 
-	stack := []*Element{root}
+	// An element's text may come in fragments, split by child tags or
+	// comments. Those of the open elements wait in frags, innermost
+	// element's last, and each element's are joined once, when it
+	// closes: appending fragment by fragment would copy the text so far
+	// each time, quadratic in the number of fragments.
+	var fragBuf [16]string
+	frags := fragBuf[:0]
+	stack := []openElem{{el: root}}
 	var z Tokenizer
 	z.Reset(string(content))
 	for z.Next() {
-		top := stack[len(stack)-1]
+		top := stack[len(stack)-1].el
 		switch z.Kind {
 		case TextToken:
-			top.Text += z.Text
+			frags = append(frags, z.Text)
 		case EndTagToken:
 			for n := len(stack) - 1; n > 0; n-- {
 				// ASCII fold only, matching the </script> scan: Unicode
 				// fold pairs must not close an element.
-				if len(stack[n].Tag) == len(z.Name) && foldEq(stack[n].Tag, z.Name) {
-					stack = stack[:n]
+				if tag := stack[n].el.Tag; len(tag) == len(z.Name) && foldEq(tag, z.Name) {
+					stack, frags = closeTo(stack, frags, n)
 					break
 				}
 			}
@@ -55,11 +62,36 @@ func ParseHTML(url string, content []byte) *Document {
 			case el.Tag == "script":
 				el.Text = z.Text
 			case !z.SelfClosing && !voidTags[el.Tag]:
-				stack = append(stack, el)
+				stack = append(stack, openElem{el: el, text: len(frags)})
 			}
 		}
 	}
+	closeTo(stack, frags, 0)
 	return d
+}
+
+// openElem is an element ParseHTML has not closed yet; its text
+// fragments start at index text of the parser's fragment list.
+type openElem struct {
+	el   *Element
+	text int
+}
+
+// closeTo closes the open elements above depth n, innermost first,
+// setting each one's text to its fragments joined.
+func closeTo(stack []openElem, frags []string, n int) ([]openElem, []string) {
+	for i := len(stack) - 1; i >= n; i-- {
+		o := stack[i]
+		switch tail := frags[o.text:]; len(tail) {
+		case 0:
+		case 1:
+			o.el.Text = tail[0]
+		default:
+			o.el.Text = strings.Join(tail, "")
+		}
+		frags = frags[:o.text]
+	}
+	return stack[:n], frags
 }
 
 // TokenKind classifies the token Tokenizer.Next stopped at.

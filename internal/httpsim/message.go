@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/textproto"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -199,9 +200,14 @@ func intLen(v int) int {
 
 // Marshal encodes the response in HTTP/1.1 wire format with an explicit
 // Content-Length — this is also the byte string the attacker injects.
-// Like Request.Marshal, it assembles the message into one exact-size
-// allocation.
-func (r *Response) Marshal() []byte {
+// Like Request.Marshal, it assembles the message into one allocation
+// sized up front.
+func (r *Response) Marshal() []byte { return r.AppendMarshal(nil) }
+
+// AppendMarshal appends the wire form Marshal returns to dst, growing
+// it at most once, so a server marshalling into reused scratch
+// allocates nothing once the scratch has grown.
+func (r *Response) AppendMarshal(dst []byte) []byte {
 	status := r.Status
 	if status == "" {
 		status = statusText(r.StatusCode)
@@ -217,7 +223,7 @@ func (r *Response) Marshal() []byte {
 	}
 	n += len("Content-Length: ") + intLen(len(r.Body)) + 2 + 2 + len(r.Body)
 
-	b := make([]byte, 0, n)
+	b := slices.Grow(dst, n)
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(r.StatusCode), 10)
 	b = append(b, ' ')
@@ -241,10 +247,40 @@ var (
 	ErrMalformed  = errors.New("httpsim: malformed message")
 )
 
+// malformedError is an ErrMalformed naming the offending field. Its
+// text is only formatted when asked for: a tap that tries every
+// segment it sees as a request fails on most of them and reads none of
+// the errors.
+type malformedError struct{ what, text string }
+
+func (e *malformedError) Error() string {
+	return fmt.Sprintf("%v: %s %q", ErrMalformed, e.what, e.text)
+}
+
+func (e *malformedError) Unwrap() error { return ErrMalformed }
+
+// splitStartLine splits a start line at its first two spaces into n
+// parts, as strings.SplitN(line, " ", 3) does, without allocating.
+func splitStartLine(line string) (parts [3]string, n int) {
+	for n < 2 {
+		i := strings.IndexByte(line, ' ')
+		if i < 0 {
+			break
+		}
+		parts[n], line = line[:i], line[i+1:]
+		n++
+	}
+	parts[n] = line
+	return parts, n + 1
+}
+
+// crlf2 is the blank line ending a message head.
+var crlf2 = []byte("\r\n\r\n")
+
 // splitHead returns the header block and the byte offset of the body, or
 // ErrIncomplete when the blank line has not arrived yet.
 func splitHead(data []byte) (head []byte, bodyOff int, err error) {
-	i := bytes.Index(data, []byte("\r\n\r\n"))
+	i := bytes.Index(data, crlf2)
 	if i < 0 {
 		return nil, 0, ErrIncomplete
 	}
@@ -278,7 +314,7 @@ func parseHeaders(s string) (Header, error) {
 		}
 		k, v, ok := strings.Cut(ln, ":")
 		if !ok {
-			return nil, fmt.Errorf("%w: header line %q", ErrMalformed, ln)
+			return nil, &malformedError{"header line", ln}
 		}
 		h.Set(strings.TrimSpace(k), strings.TrimSpace(v))
 	}
@@ -294,7 +330,7 @@ func contentLength(hdr Header) (int, error) {
 	}
 	clen, err := strconv.Atoi(v)
 	if err != nil || clen < 0 {
-		return 0, fmt.Errorf("%w: content-length %q", ErrMalformed, v)
+		return 0, &malformedError{"content-length", v}
 	}
 	return clen, nil
 }
@@ -305,14 +341,58 @@ func contentLength(hdr Header) (int, error) {
 // mutate or recycle the wire buffer must copy it first (the simulated
 // stacks never do: wire buffers are written once per message).
 func ParseRequest(data []byte) (*Request, int, error) {
+	return parseMessage(data, parseRequestHead)
+}
+
+// ParseResponse decodes one response from data, returning the message and
+// bytes consumed, or ErrIncomplete. Like ParseRequest, the returned Body
+// is a zero-copy view of data.
+func ParseResponse(data []byte) (*Response, int, error) {
+	return parseMessage(data, parseResponseHead)
+}
+
+// message is what the head parsers build: a request or response whose
+// body is attached once it has arrived.
+type message interface {
+	*Request | *Response
+}
+
+// setBody attaches a message's body.
+func setBody[M message](m M, body []byte) {
+	switch m := any(m).(type) {
+	case *Request:
+		m.Body = body
+	case *Response:
+		m.Body = body
+	}
+}
+
+// parseMessage is the one-shot parse behind ParseRequest and
+// ParseResponse: split off the head, parse it, and attach the body once
+// data holds all Content-Length bytes of it.
+func parseMessage[M message](data []byte, parseHead func([]byte) (M, int, error)) (M, int, error) {
 	head, bodyOff, err := splitHead(data)
 	if err != nil {
 		return nil, 0, err
 	}
+	m, clen, err := parseHead(head)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(data)-bodyOff < clen {
+		return nil, 0, ErrIncomplete
+	}
+	setBody(m, data[bodyOff:bodyOff+clen:bodyOff+clen])
+	return m, bodyOff + clen, nil
+}
+
+// parseRequestHead decodes a request's head block (the bytes before the
+// blank line) into a body-less Request and its Content-Length.
+func parseRequestHead(head []byte) (*Request, int, error) {
 	startLine, rest := parseHead(head)
-	parts := strings.SplitN(startLine, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: request line %q", ErrMalformed, startLine)
+	parts, n := splitStartLine(startLine)
+	if n != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
+		return nil, 0, &malformedError{"request line", startLine}
 	}
 	hdr, err := parseHeaders(rest)
 	if err != nil {
@@ -322,39 +402,25 @@ func ParseRequest(data []byte) (*Request, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(data) < bodyOff+clen {
-		return nil, 0, ErrIncomplete
-	}
-	req := &Request{
-		Method: parts[0],
-		Path:   parts[1],
-		Host:   hdr.Get("Host"),
-		Header: hdr,
-		Body:   data[bodyOff : bodyOff+clen : bodyOff+clen],
-	}
+	req := &Request{Method: parts[0], Path: parts[1], Host: hdr.Get("Host"), Header: hdr}
 	hdr.Del("Host")
-	return req, bodyOff + clen, nil
+	return req, clen, nil
 }
 
-// ParseResponse decodes one response from data, returning the message and
-// bytes consumed, or ErrIncomplete. Like ParseRequest, the returned Body
-// is a zero-copy view of data.
-func ParseResponse(data []byte) (*Response, int, error) {
-	head, bodyOff, err := splitHead(data)
-	if err != nil {
-		return nil, 0, err
-	}
+// parseResponseHead decodes a response's head block into a body-less
+// Response and its Content-Length.
+func parseResponseHead(head []byte) (*Response, int, error) {
 	startLine, rest := parseHead(head)
-	parts := strings.SplitN(startLine, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
-		return nil, 0, fmt.Errorf("%w: status line %q", ErrMalformed, startLine)
+	parts, n := splitStartLine(startLine)
+	if n < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
+		return nil, 0, &malformedError{"status line", startLine}
 	}
 	code, err := strconv.Atoi(parts[1])
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: status code %q", ErrMalformed, parts[1])
+		return nil, 0, &malformedError{"status code", parts[1]}
 	}
 	status := ""
-	if len(parts) == 3 {
+	if n == 3 {
 		status = parts[2]
 	}
 	hdr, err := parseHeaders(rest)
@@ -365,13 +431,66 @@ func ParseResponse(data []byte) (*Response, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(data) < bodyOff+clen {
-		return nil, 0, ErrIncomplete
+	return &Response{StatusCode: code, Status: status, Header: hdr}, clen, nil
+}
+
+// maxReserve caps how much of a message's declared length a receiver
+// reserves up front: a hostile Content-Length must not buy a giant
+// allocation with a few header bytes. Longer bodies still arrive, by
+// append growth past the cap.
+const maxReserve = 1 << 20
+
+// receiver assembles one message delivered in pieces, as ParseRequest
+// or ParseResponse would from the growing buffer, but parses the head
+// once: when the blank line arrives. The buffer is then reserved for
+// the whole message and the message is complete, on the same byte the
+// one-shot parse would first succeed, once the body has arrived. A
+// malformed head fails every later one-shot parse as well, so the
+// receiver then yields nothing, ever.
+type receiver[M message] struct {
+	parseHead func([]byte) (M, int, error)
+	buf       []byte
+	msg       M
+	bodyOff   int // 0 until the head has been parsed
+	clen      int
+	failed    bool
+}
+
+// feed appends b and returns the message once it is complete. After
+// that, or after a malformed head, further bytes are ignored.
+func (r *receiver[M]) feed(b []byte) (M, bool) {
+	if r.failed || (r.bodyOff > 0 && len(r.buf)-r.bodyOff >= r.clen) {
+		return nil, false
 	}
-	return &Response{
-		StatusCode: code,
-		Status:     status,
-		Header:     hdr,
-		Body:       data[bodyOff : bodyOff+clen : bodyOff+clen],
-	}, bodyOff + clen, nil
+	if r.bodyOff == 0 {
+		// A head that arrives whole (the common case) is found and parsed
+		// in b itself, so the buffer is allocated once, at its final size.
+		from, data := 0, b
+		if len(r.buf) > 0 {
+			from = max(len(r.buf)-3, 0) // the blank line may straddle the old end
+			r.buf = append(r.buf, b...)
+			data, b = r.buf, nil
+		}
+		i := bytes.Index(data[from:], crlf2)
+		if i < 0 {
+			r.buf = append(r.buf, b...)
+			return nil, false
+		}
+		var err error
+		if r.msg, r.clen, err = r.parseHead(data[:from+i]); err != nil {
+			r.failed, r.buf = true, nil
+			return nil, false
+		}
+		r.bodyOff = from + i + len(crlf2)
+		if more := r.clen - (len(data) - r.bodyOff); more > 0 {
+			r.buf = slices.Grow(r.buf, len(b)+min(more, maxReserve))
+		}
+	}
+	r.buf = append(r.buf, b...)
+	if len(r.buf)-r.bodyOff < r.clen {
+		return nil, false
+	}
+	end := r.bodyOff + r.clen
+	setBody(r.msg, r.buf[r.bodyOff:end:end])
+	return r.msg, true
 }

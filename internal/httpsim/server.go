@@ -17,6 +17,7 @@ type Server struct {
 	stack   *tcpsim.Stack
 	handler HandlerFunc
 	sealer  Sealer // nil for plaintext HTTP
+	out     []byte // marshal scratch, reused across responses
 
 	requests int
 }
@@ -37,42 +38,57 @@ func NewServerSealed(stack *tcpsim.Stack, port uint16, sealer Sealer, handler Ha
 func newServer(stack *tcpsim.Stack, port uint16, sealer Sealer, handler HandlerFunc) (*Server, error) {
 	s := &Server{stack: stack, handler: handler, sealer: sealer}
 	err := stack.Listen(port, func(conn *tcpsim.Conn) {
-		var buf []byte
-		conn.OnData(func(b []byte) {
-			buf = append(buf, b...)
-			var reqBytes []byte
-			if s.sealer != nil {
+		if s.sealer != nil {
+			var buf []byte
+			done := false
+			conn.OnData(func(b []byte) {
+				if done {
+					return
+				}
+				buf = append(buf, b...)
 				plaintext, _, oerr := s.sealer.Open(buf)
 				if oerr != nil {
 					return // incomplete, or a forgery that cannot be opened
 				}
-				reqBytes = plaintext
-			} else {
-				reqBytes = buf
+				if req, _, perr := ParseRequest(plaintext); perr == nil {
+					done = true
+					s.respond(conn, req)
+				}
+			})
+			return
+		}
+		rx := receiver[*Request]{parseHead: parseRequestHead}
+		conn.OnData(func(b []byte) {
+			if req, ok := rx.feed(b); ok {
+				s.respond(conn, req)
 			}
-			req, _, perr := ParseRequest(reqBytes)
-			if perr != nil {
-				return // incomplete or garbage; wait for more bytes
-			}
-			s.requests++
-			resp := s.handler(req)
-			if resp == nil {
-				resp = NewResponse(500, []byte("internal error"))
-			}
-			out := resp.Marshal()
-			if s.sealer != nil {
-				out = s.sealer.Seal(out)
-			}
-			if _, werr := conn.Write(out); werr != nil {
-				return
-			}
-			_ = conn.Close()
 		})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("httpsim server: %w", err)
 	}
 	return s, nil
+}
+
+// respond runs the handler on a complete request, writes the response
+// and closes the connection. The plaintext response is marshalled into
+// the server's reused scratch: Conn.Write lets callers reuse their
+// buffer once it returns.
+func (s *Server) respond(conn *tcpsim.Conn, req *Request) {
+	s.requests++
+	resp := s.handler(req)
+	if resp == nil {
+		resp = NewResponse(500, []byte("internal error"))
+	}
+	s.out = resp.AppendMarshal(s.out[:0])
+	out := s.out
+	if s.sealer != nil {
+		out = s.sealer.Seal(out)
+	}
+	if _, werr := conn.Write(out); werr != nil {
+		return
+	}
+	_ = conn.Close()
 }
 
 // Requests reports how many requests the server has handled.
@@ -102,16 +118,15 @@ func (c *Client) DoSealed(dst netsim.Addr, port uint16, sealer Sealer, req *Requ
 }
 
 func (c *Client) do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, cb func(*Response, error)) {
-	var buf []byte
 	done := false
 	_, err := c.stack.Dial(dst, port, func(conn *tcpsim.Conn) {
-		conn.OnData(func(b []byte) {
-			if done {
-				return
-			}
-			buf = append(buf, b...)
-			respBytes := buf
-			if sealer != nil {
+		if sealer != nil {
+			var buf []byte
+			conn.OnData(func(b []byte) {
+				if done {
+					return
+				}
+				buf = append(buf, b...)
 				plaintext, _, oerr := sealer.Open(buf)
 				if errors.Is(oerr, ErrSealIncomplete) {
 					return
@@ -124,15 +139,20 @@ func (c *Client) do(dst netsim.Addr, port uint16, sealer Sealer, req *Request, c
 					cb(nil, fmt.Errorf("httpsim client: %w", oerr))
 					return
 				}
-				respBytes = plaintext
-			}
-			resp, _, perr := ParseResponse(respBytes)
-			if perr != nil {
-				return
-			}
-			done = true
-			cb(resp, nil)
-		})
+				if resp, _, perr := ParseResponse(plaintext); perr == nil {
+					done = true
+					cb(resp, nil)
+				}
+			})
+		} else {
+			rx := receiver[*Response]{parseHead: parseResponseHead}
+			conn.OnData(func(b []byte) {
+				if resp, ok := rx.feed(b); ok && !done {
+					done = true
+					cb(resp, nil)
+				}
+			})
+		}
 		out := req.Marshal()
 		if sealer != nil {
 			out = sealer.Seal(out)

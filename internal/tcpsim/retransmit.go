@@ -51,33 +51,26 @@ func WithISN(isn uint32) StackOption {
 }
 
 // rtxSeg is one unacknowledged sequence-consuming segment awaiting
-// either an ACK or a retransmission. The payload is copied: callers may
-// reuse their buffers the moment Write returns.
+// either an ACK or a retransmission. Its payload is sndBuf[off:off+n]
+// (an offset, not a slice, so compacting the buffer only shifts it).
 type rtxSeg struct {
-	seq     uint32
-	flags   Flags
-	payload []byte
-	seqLen  int // sequence space consumed: len(payload), +1 for SYN/FIN
-}
-
-// seqConsumed reports how much sequence space a segment occupies; only
-// occupying segments are retransmittable (pure ACKs are not).
-func seqConsumed(seg Segment) int {
-	n := len(seg.Payload)
-	if seg.Flags&(FlagSYN|FlagFIN) != 0 {
-		n++
-	}
-	return n
+	seq    uint32
+	flags  Flags
+	off, n int
+	seqLen int // sequence space consumed: n, +1 for SYN/FIN
 }
 
 // track queues a sequence-consuming segment for possible retransmission
-// and arms the RTO timer if the queue was empty.
-func (c *Conn) track(seg Segment, seqLen int) {
-	var pay []byte
-	if len(seg.Payload) > 0 {
-		pay = append([]byte(nil), seg.Payload...)
+// and arms the RTO timer if the queue was empty. A data segment's
+// payload must already sit in the send buffer at off (Write put it
+// there); SYN and FIN carry none.
+func (c *Conn) track(seg Segment, off int) {
+	n := len(seg.Payload)
+	seqLen := n
+	if seg.Flags&(FlagSYN|FlagFIN) != 0 {
+		seqLen++
 	}
-	c.rtxQ = append(c.rtxQ, rtxSeg{seq: seg.Seq, flags: seg.Flags, payload: pay, seqLen: seqLen})
+	c.rtxQ = append(c.rtxQ, rtxSeg{seq: seg.Seq, flags: seg.Flags, off: off, n: n, seqLen: seqLen})
 	if len(c.rtxQ) == 1 {
 		c.rtoBackoff = 0
 		c.retries = 0
@@ -90,12 +83,38 @@ func (c *Conn) track(seg Segment, seqLen int) {
 // be cancelled, so stale timers fire as no-ops.
 func (c *Conn) armTimer() {
 	c.timerEpoch++
-	epoch := c.timerEpoch
 	d := c.stack.rto << c.rtoBackoff
 	if d > MaxRTO || d <= 0 {
 		d = MaxRTO
 	}
-	c.stack.net.Schedule(d, func() { c.onTimeout(epoch) })
+	s := c.stack
+	var t *rtoTimer
+	if n := len(s.timers); n > 0 {
+		t, s.timers = s.timers[n-1], s.timers[:n-1]
+	} else {
+		t = &rtoTimer{}
+		t.fire = t.expire
+	}
+	t.c, t.epoch = c, c.timerEpoch
+	s.net.Schedule(d, t.fire)
+}
+
+// rtoTimer is one scheduled RTO expiry: the connection and the epoch
+// it was armed in. A timer goes back to its stack's free list when it
+// fires, so arming allocates only while the list grows to the most
+// expiries a stack ever has pending — an ACK re-arms the timer, and
+// every ACK of a burst leaves one pending.
+type rtoTimer struct {
+	c     *Conn
+	epoch int
+	fire  func() // expire, bound once
+}
+
+func (t *rtoTimer) expire() {
+	c, epoch := t.c, t.epoch
+	t.c = nil
+	c.stack.timers = append(c.stack.timers, t)
+	c.onTimeout(epoch)
 }
 
 // onTimeout is one RTO expiry: retransmit the oldest outstanding
@@ -125,7 +144,7 @@ func (c *Conn) retransmitFirst() {
 	e := c.rtxQ[0]
 	c.stats.Retransmits++
 	flags := e.flags
-	seg := Segment{Flags: flags, Seq: e.seq, Window: DefaultWindow, Payload: e.payload}
+	seg := Segment{Flags: flags, Seq: e.seq, Window: DefaultWindow, Payload: c.sndBuf[e.off : e.off+e.n]}
 	if flags&FlagACK != 0 || c.state == StateEstablished || c.state == StateFinWait {
 		seg.Ack = c.rcvNxt
 	}
@@ -147,6 +166,7 @@ func (c *Conn) processAck(ack uint32, hasPayload bool) {
 			}
 		}
 		c.rtxQ = keep
+		c.releaseAcked()
 		c.dupAcks = 0
 		c.retries = 0
 		c.rtoBackoff = 0
@@ -164,5 +184,25 @@ func (c *Conn) processAck(ack uint32, hasPayload bool) {
 			c.stats.FastRetransmits++
 			c.retransmitFirst()
 		}
+	}
+}
+
+// releaseAcked frees the send buffer's acknowledged prefix: all of it
+// when the queue has drained, otherwise by sliding the outstanding
+// bytes to the front once the prefix passes half the buffer, so a
+// stream that never drains keeps the buffer at about twice its
+// outstanding data while each byte is moved O(1) times on average.
+func (c *Conn) releaseAcked() {
+	if len(c.rtxQ) == 0 {
+		c.sndBuf = c.sndBuf[:0]
+		return
+	}
+	acked := c.rtxQ[0].off
+	if acked <= len(c.sndBuf)/2 {
+		return
+	}
+	c.sndBuf = c.sndBuf[:copy(c.sndBuf, c.sndBuf[acked:])]
+	for i := range c.rtxQ {
+		c.rtxQ[i].off -= acked
 	}
 }

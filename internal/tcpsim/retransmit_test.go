@@ -182,3 +182,59 @@ func TestRetransmitOnCleanWireIsByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestSendBufferBoundedWhenQueueNeverDrains streams as many 256-byte
+// rounds as the full soak over its lossy, duplicating, jittery link,
+// writing each round while the previous one is still unacknowledged,
+// so the retransmission queue never drains and the send buffer is
+// never simply reset. Compaction must keep it near the outstanding
+// data; without it, it would hold the whole 51 MB stream.
+func TestSendBufferBoundedWhenQueueNeverDrains(t *testing.T) {
+	rounds := 200_000
+	if testing.Short() {
+		rounds = 2000
+	}
+	p := netsim.LinkProfile{Name: "soak", Loss: 0.05, Duplicate: 0.02, Jitter: time.Millisecond, Seed: 9}
+	l := faultyLab(t, p, WithMSS(512))
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 16)
+	var conn *Conn
+	written, received, drainedWrites, maxCap := 0, 0, 0, 0
+	write := func() {
+		if len(conn.rtxQ) == 0 {
+			drainedWrites++
+		}
+		if _, err := conn.Write(chunk); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		written++
+		maxCap = max(maxCap, cap(conn.sndBuf))
+	}
+	if err := l.server.Listen(80, func(c *Conn) {
+		c.OnData(func(b []byte) {
+			// Write the next round as soon as the server sees data: the
+			// client's last round is then still awaiting its ACK.
+			for received += len(b); written < rounds && received > (written-1)*len(chunk); {
+				write()
+			}
+		})
+	}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	var err error
+	if conn, err = l.client.Dial("server", 80, func(*Conn) { write() }); err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	l.net.Run(0)
+	if received != rounds*len(chunk) {
+		t.Fatalf("server received %d bytes, want %d", received, rounds*len(chunk))
+	}
+	if drainedWrites > 1 {
+		t.Fatalf("%d writes found the queue drained; the stream must keep it occupied", drainedWrites)
+	}
+	if maxCap > 16<<10 {
+		t.Errorf("send buffer grew to %d bytes for a stream with a few 256-byte rounds outstanding, want <= 16 KiB", maxCap)
+	}
+	if len(conn.rtxQ) != 0 || len(conn.sndBuf) != 0 {
+		t.Errorf("after the last ACK: %d queued segments, %d buffered bytes; want none", len(conn.rtxQ), len(conn.sndBuf))
+	}
+}

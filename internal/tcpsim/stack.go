@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"masterparasite/internal/netsim"
@@ -105,6 +106,7 @@ type Stack struct {
 	rto         time.Duration
 	maxRetries  int
 	isnOverride *uint32
+	timers      []*rtoTimer // fired RTO timers, for reuse
 
 	listeners map[uint16]func(*Conn)
 	conns     map[connKey]*Conn
@@ -125,7 +127,6 @@ func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOptio
 		ifc:        ifc,
 		policy:     FirstWins,
 		mss:        DefaultMSS,
-		rng:        rand.New(rand.NewSource(1)),
 		rto:        DefaultRTO,
 		maxRetries: DefaultMaxRetries,
 		listeners:  make(map[uint16]func(*Conn)),
@@ -134,6 +135,9 @@ func NewStack(network *netsim.Network, ifc *netsim.Interface, opts ...StackOptio
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
 	}
 	ifc.SetHandler(func(now time.Duration, pkt netsim.Packet) { s.receive(now, pkt) })
 	return s
@@ -272,11 +276,13 @@ type Conn struct {
 
 	// Retransmission state (active only when the stack enables it):
 	// sndUna is the oldest unacknowledged sequence number, rtxQ the
-	// outstanding sequence-consuming segments in send order. timerEpoch
+	// outstanding sequence-consuming segments in send order, and sndBuf
+	// the one buffer their payloads live in (see track). timerEpoch
 	// invalidates scheduled RTO expiries (netsim events cannot be
 	// cancelled, so stale epochs fire as no-ops).
 	sndUna     uint32
 	rtxQ       []rtxSeg
+	sndBuf     []byte
 	rtoBackoff uint
 	retries    int
 	timerEpoch int
@@ -318,10 +324,19 @@ func (c *Conn) OnClose(fn func()) { c.onClose = fn }
 var ErrClosed = errors.New("tcpsim: connection closed")
 
 // Write queues data for transmission, splitting it into MSS-sized
-// segments.
+// segments. Callers may reuse data once Write returns: with
+// retransmission on, it is copied once into the connection's send
+// buffer, where the retransmission queue finds it.
 func (c *Conn) Write(data []byte) (int, error) {
 	if c.state == StateClosed {
 		return 0, ErrClosed
+	}
+	base := len(c.sndBuf)
+	if c.stack.retransmit {
+		c.sndBuf = append(c.sndBuf, data...)
+		// Queue room for every segment, and for the FIN that usually
+		// follows a write.
+		c.rtxQ = slices.Grow(c.rtxQ, (len(data)+c.stack.mss-1)/c.stack.mss+1)
 	}
 	sent := 0
 	for sent < len(data) {
@@ -329,12 +344,16 @@ func (c *Conn) Write(data []byte) (int, error) {
 		if end > len(data) {
 			end = len(data)
 		}
-		chunk := data[sent:end]
-		c.sendSegment(Segment{
+		seg := Segment{
 			Flags: FlagACK | FlagPSH, Seq: c.sndNxt, Ack: c.rcvNxt,
-			Window: DefaultWindow, Payload: chunk,
-		})
-		c.sndNxt = SeqAdd(c.sndNxt, len(chunk))
+			Window: DefaultWindow, Payload: data[sent:end],
+		}
+		if c.stack.retransmit {
+			seg.Payload = c.sndBuf[base+sent : base+end]
+			c.track(seg, base+sent)
+		}
+		c.transmitSegment(seg)
+		c.sndNxt = SeqAdd(c.sndNxt, end-sent)
 		sent = end
 	}
 	return sent, nil
@@ -359,11 +378,12 @@ func (c *Conn) teardown() {
 	}
 }
 
+// sendSegment transmits a control segment (no payload: data goes
+// through Write), queueing it for retransmission if it consumes
+// sequence space (SYN, FIN).
 func (c *Conn) sendSegment(seg Segment) {
-	if c.stack.retransmit {
-		if n := seqConsumed(seg); n > 0 {
-			c.track(seg, n)
-		}
+	if c.stack.retransmit && seg.Flags&(FlagSYN|FlagFIN) != 0 {
+		c.track(seg, len(c.sndBuf))
 	}
 	c.transmitSegment(seg)
 }
@@ -474,32 +494,42 @@ func (c *Conn) ingest(seg Segment) {
 		c.deliver(seg.Payload[-d:])
 		return
 	}
-	for i, b := range seg.Payload {
-		off := d + i // position relative to rcvNxt
-		if off < 0 {
-			// Already delivered to the application: the byte on the wire
-			// now is discarded regardless of policy. This is why the
-			// genuine response arriving after the injected one is
-			// "ignored" in the paper's figures.
-			c.stats.DuplicateBytes++
-			continue
+	p := seg.Payload
+	if d < 0 {
+		// The prefix was already delivered to the application: the bytes
+		// on the wire now are discarded regardless of policy. This is why
+		// the genuine response arriving after the injected one is
+		// "ignored" in the paper's figures.
+		c.stats.DuplicateBytes += -d
+		p, d = p[-d:], 0
+	}
+	// Grow the window once, to the segment's end (appending a make is
+	// one zeroed extension, not an allocation per byte).
+	if n := d + len(p) - len(c.rcvHave); n > 0 {
+		c.rcvWin = append(c.rcvWin, make([]byte, n)...)
+		c.rcvHave = append(c.rcvHave, make([]bool, n)...)
+	}
+	win, have := c.rcvWin[d:d+len(p)], c.rcvHave[d:d+len(p)]
+	// Walk the segment as alternating runs of free and held positions:
+	// free runs are copied in, held runs resolved by the overlap policy.
+	for i := 0; i < len(p); {
+		j := i + 1
+		for j < len(p) && have[j] == have[i] {
+			j++
 		}
-		for len(c.rcvHave) <= off {
-			c.rcvWin = append(c.rcvWin, 0)
-			c.rcvHave = append(c.rcvHave, false)
-		}
-		if c.rcvHave[off] {
-			switch c.stack.policy {
-			case LastWins:
-				c.rcvWin[off] = b
-				c.stats.OverwrittenByte++
-			default: // FirstWins
-				c.stats.DuplicateBytes++
+		switch {
+		case !have[i]:
+			copy(win[i:j], p[i:j])
+			for k := i; k < j; k++ {
+				have[k] = true
 			}
-			continue
+		case c.stack.policy == LastWins:
+			copy(win[i:j], p[i:j])
+			c.stats.OverwrittenByte += j - i
+		default: // FirstWins
+			c.stats.DuplicateBytes += j - i
 		}
-		c.rcvWin[off] = b
-		c.rcvHave[off] = true
+		i = j
 	}
 	// Drain the contiguous prefix, then slide the scratch down in place.
 	k := 0
